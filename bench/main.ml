@@ -1127,10 +1127,12 @@ let fleet_bench ~smoke ~record () =
 let trace_bench () =
   Printf.printf "\n== flight recorder (traced offloaded cycle) ==\n%!";
   let ark = Ark_run.create () in
+  let engine = ark.Ark_run.ark.Transkernel.Ark.engine in
+  (* block executions are always counted, so dispatch counting must
+     cover the same runs for the chain-hit column to be consistent *)
+  engine.Tk_dbt.Engine.profile <- true;
   ignore (Ark_run.suspend_resume_cycle ark);  (* warm: translations done *)
   let tr = Ark_run.trace ark in
-  let engine = ark.Ark_run.ark.Transkernel.Ark.engine in
-  engine.Tk_dbt.Engine.profile <- true;
   (* untraced warm cycle wall-clock *)
   let w0 = Unix.gettimeofday () in
   ignore (Ark_run.suspend_resume_cycle ark);

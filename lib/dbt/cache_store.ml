@@ -13,8 +13,8 @@
     stalls live.
 
     Robustness discipline: [load] never lets a bad file poison a run —
-    wrong magic, wrong version, wrong key, truncation or any unmarshal
-    failure all degrade to [None], i.e. an ordinary cold start. The
+    wrong magic, wrong version, wrong key, truncation or a corrupted
+    payload all degrade to [None], i.e. an ordinary cold start. The
     image key is embedded in both the filename and the payload, so a
     stale cache directory for a rebuilt image simply misses. *)
 
@@ -24,20 +24,21 @@ type t = {
   traces : (int, Superblock.plan) Hashtbl.t;  (** chain head -> plan *)
 }
 
-(* bump on any change to Translator.block / Superblock.plan layout *)
-let version = 3
+(* bump on any change to Translator.block / Superblock.plan layout or to
+   the file framing below *)
+let version = 4
 let magic = "TKDBTCACHE\n"
 
-(* The version rides in a plaintext header line right after the magic,
-   BEFORE the Marshal payload: a file written by a different layout
-   generation is recognized and refused without ever handing its bytes
-   to [Marshal.from_channel] (whose failure mode on a stale layout is
-   undefined data, not a clean exception). *)
+(* The framing is three plaintext header lines — the magic, the version
+   and an MD5 of the Marshal payload — then the payload. Every header
+   byte is compared exactly and the payload against its digest BEFORE
+   any of it reaches [Marshal.from_string], whose failure mode on a
+   stale layout or a flipped bit is undefined data or a crash, not a
+   clean exception. *)
 let header_of v = Printf.sprintf "version %d\n" v
 
-let format_mismatches = ref 0
-(** wrong-magic / wrong-version header refusals since program start —
-    each one was a graceful cold start *)
+let digest_line payload =
+  Printf.sprintf "payload %s\n" (Digest.to_hex (Digest.string payload))
 
 (* ----------------------------- keying -------------------------------- *)
 
@@ -100,61 +101,53 @@ let save ~dir t =
       ~finally:(fun () ->
         if not !committed then try Sys.remove tmp with Sys_error _ -> ())
       (fun () ->
+        (* sorted bindings: the file bytes are a function of the cache
+           contents, not hash-table iteration order *)
+        let payload =
+          Marshal.to_string
+            (t.key, sorted_bindings t.blocks, sorted_bindings t.traces)
+            []
+        in
         let oc = open_out_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
             output_string oc magic;
             output_string oc (header_of version);
-            (* sorted bindings: the file bytes are a function of the cache
-               contents, not hash-table iteration order *)
-            Marshal.to_channel oc
-              (t.key, sorted_bindings t.blocks, sorted_bindings t.traces)
-              []);
+            output_string oc (digest_line payload);
+            output_string oc payload);
         Sys.rename tmp file;
         committed := true)
 
 let load ~dir ~key =
-  let file = path ~dir ~key in
-  match
-    if not (Sys.file_exists file) then None
+  let read ic =
+    let expect s = really_input_string ic (String.length s) = s in
+    if not (expect magic && expect (header_of version)) then None
     else begin
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let m = really_input_string ic (String.length magic) in
-          if m <> magic then begin
-            incr format_mismatches;
-            None
-          end
-          else begin
-            let want = header_of version in
-            let h =
-              try really_input_string ic (String.length want)
-              with End_of_file -> ""
-            in
-            if h <> want then begin
-              incr format_mismatches;
-              None
-            end
-            else begin
-              let k, bl, tl =
-                (Marshal.from_channel ic
-                  : string
-                    * (int * Translator.block) list
-                    * (int * Superblock.plan) list)
-              in
-              if k <> key then None
-              else begin
-                let t = create ~key in
-                List.iter (fun (g, b) -> Hashtbl.replace t.blocks g b) bl;
-                List.iter (fun (h, p) -> Hashtbl.replace t.traces h p) tl;
-                Some t
-              end
-            end
-          end)
+      let sum = really_input_string ic (String.length (digest_line "")) in
+      let payload = really_input_string ic (in_channel_length ic - pos_in ic) in
+      if sum <> digest_line payload then None
+      else
+        let k, bl, tl =
+          (Marshal.from_string payload 0
+            : string
+              * (int * Translator.block) list
+              * (int * Superblock.plan) list)
+        in
+        if k <> key then None
+        else begin
+          let t = create ~key in
+          List.iter (fun (g, b) -> Hashtbl.replace t.blocks g b) bl;
+          List.iter (fun (h, p) -> Hashtbl.replace t.traces h p) tl;
+          Some t
+        end
     end
-  with
-  | exception _ -> None
-  | r -> r
+  in
+  (* a missing or unreadable file raises [Sys_error], a truncated one
+     [End_of_file]: both are a cold start *)
+  match open_in_bin (path ~dir ~key) with
+  | exception Sys_error _ -> None
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> try read ic with End_of_file | Sys_error _ -> None)

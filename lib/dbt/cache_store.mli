@@ -4,8 +4,9 @@
     and still charges the simulated translation cost, so warm runs keep
     a byte-identical simulated timeline (and manifest digest) while
     skipping the host-side translation work. [load] degrades every
-    failure mode (missing file, wrong magic/version/key, corruption) to
-    [None] — a cold start, never a poisoned run. *)
+    failure mode (missing file, wrong magic/version/key, truncation, a
+    payload that fails its digest) to [None] — a cold start, never a
+    poisoned run. *)
 
 type t = {
   key : string;  (** image digest this cache is valid for *)
@@ -15,11 +16,6 @@ type t = {
 
 val key_of_image : base:int -> words:int array -> string
 (** FNV-1a digest over the link base and pristine image words *)
-
-val format_mismatches : int ref
-(** header refusals (wrong magic or wrong plaintext version line) seen
-    by [load] since program start; each one degraded to a cold start
-    without touching the Marshal payload *)
 
 val create : key:string -> t
 val find_block : t -> int -> Translator.block option

@@ -35,9 +35,11 @@ exception Host_error of string
 
 exception Quantum
 (** The M3 clock reached [deadline_ns] (bounded-quantum lockstep): the
-    run loop unwound at an instruction boundary with the context's pc
-    saved, so a later [run] with the same cpu resumes exactly where it
-    stopped. Never raised while [deadline_ns = max_int] (the default). *)
+    run loop unwound at its next probe point — after a control transfer
+    or a callback pc override, before the next instruction touches any
+    state — with the context's pc saved, so a later [run] with the same
+    cpu resumes exactly where it stopped. Never raised while
+    [deadline_ns = max_int] (the default). *)
 
 (** Distinguished not-yet-decoded marker for [host_decode] slots,
     compared by physical equality ([==]) and never executed. *)
@@ -107,8 +109,9 @@ type t = {
       (** host block start -> (guest instruction count, host words) *)
   (* superblock tier (above Ark; cycle-accounted, not cycle-neutral) *)
   mutable superblock : bool;
-      (** select the superblock run loop: trace formation over hot block
-          chains, macro-op fused execution, whole-trace invalidation.
+      (** the superblock tier: gates trace formation over hot block
+          chains, the macro-op fusion marks and the store-invalidation
+          probe (whole-trace invalidation) — the run loop is shared.
           Only meaningful with [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
@@ -158,8 +161,8 @@ type t = {
   mutable probes_elided : int;
       (** image-span stores that skipped the probe via [probe_exempt] *)
   mutable deadline_ns : int;
-      (** bounded-quantum lockstep: the run loops raise {!Quantum} at
-          the first resumable point once the M3 clock reaches this
+      (** bounded-quantum lockstep: the run loop raises {!Quantum} at
+          its next probe point once the M3 clock reaches this
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
           fallback draining), which must finish indivisibly. *)
@@ -264,19 +267,12 @@ let rec create ~(soc : Soc.t) ~mode () =
          image-span gate is inline so the overwhelmingly common
          data-region store pays two compares, not a call; the widened
          lower bound covers a store whose tail word straddles into the
-         image. Stores issued from code proven SMC-clean (the executing
-         word is marked in [probe_exempt]) skip the probe entirely —
-         clean code cannot hit covered words by construction. *)
+         image. *)
       if
         t.superblock
         && addr + nbytes > Soc.kernel_base
         && addr < Soc.page_pool_base
-      then
-        if
-          Array.unsafe_get t.probe_exempt
-            ((t.cur_pc - Soc.code_cache_base) asr 2)
-        then t.probes_elided <- t.probes_elided + 1
-        else sb_store_check t addr nbytes
+      then sb_store_check t addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
@@ -320,12 +316,7 @@ let rec create ~(soc : Soc.t) ~mode () =
         t.superblock
         && addr + nbytes > Soc.kernel_base
         && addr < Soc.page_pool_base
-      then
-        if
-          Array.unsafe_get t.probe_exempt
-            ((t.cur_pc - Soc.code_cache_base) asr 2)
-        then t.probes_elided <- t.probes_elided + 1
-        else sb_store_check t addr nbytes
+      then sb_store_check t addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
@@ -370,7 +361,10 @@ let rec create ~(soc : Soc.t) ~mode () =
    a formed trace, so the probe checks both words against the dense
    cover map and schedules a whole-cache eviction (consumed at the next
    block/trace boundary — the translated-code analogue of the
-   interpreter's invalidate-on-store / take-effect-on-next-fetch). *)
+   interpreter's invalidate-on-store / take-effect-on-next-fetch).
+   Stores issued from code proven SMC-clean (the executing word is
+   marked in [probe_exempt]) skip the probe entirely — clean code cannot
+   hit covered words by construction. *)
 and sb_check_word t w =
   if Soc.in_kernel_image w
      && Bytes.unsafe_get t.guest_cover ((w - Soc.kernel_base) asr 2) <> '\000'
@@ -383,10 +377,14 @@ and sb_check_word t w =
   end
 
 and sb_store_check t addr nbytes =
-  let w0 = addr land lnot 3 in
-  sb_check_word t w0;
-  let w1 = (addr + nbytes - 1) land lnot 3 in
-  if w1 <> w0 then sb_check_word t w1
+  if Array.unsafe_get t.probe_exempt ((t.cur_pc - Soc.code_cache_base) asr 2)
+  then t.probes_elided <- t.probes_elided + 1
+  else begin
+    let w0 = addr land lnot 3 in
+    sb_check_word t w0;
+    let w1 = (addr + nbytes - 1) land lnot 3 in
+    if w1 <> w0 then sb_check_word t w1
+  end
 
 (* ------------------------- code emission ---------------------------- *)
 
@@ -402,8 +400,15 @@ and write_host t addr (i : inst) =
   t.host_decode.((addr - Soc.code_cache_base) asr 2) <-
     (match V7m.decode w with i -> i | exception _ -> undecoded)
 
-and emit_block t (b : Translator.block) =
-  let host_start = t.cursor in
+(* Install a translation under guest [gpc] — a block, or a formed trace
+   under its head: charge the simulated translation cost, emit it at the
+   cursor and register its host start in every map. The superblock tier
+   also marks the new code's fusable pairs. Returns the host start. *)
+and install t gpc (b : Translator.block) =
+  let cost = cost_translate_per_guest * b.Translator.b_guest_count in
+  t.translate_cycles <- t.translate_cycles + cost;
+  charge t cost;
+  let h = t.cursor in
   List.iter
     (fun e ->
       let a = t.cursor in
@@ -427,7 +432,14 @@ and emit_block t (b : Translator.block) =
     b.Translator.b_emits;
   if t.cursor >= Soc.code_cache_base + Soc.code_cache_size then
     raise (Host_error "code cache full");
-  host_start
+  Hashtbl.replace t.block_map gpc h;
+  Hashtbl.replace t.block_starts h gpc;
+  t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
+  Hashtbl.replace t.host_points h gpc;
+  Hashtbl.replace t.block_size h
+    (b.Translator.b_guest_count, (t.cursor - h) asr 2);
+  if t.superblock then sb_mark_fusions t h t.cursor;
+  h
 
 and read_guest t a =
   if not (Mem.in_ram t.soc.Soc.mem a) then
@@ -473,22 +485,12 @@ and translate_block t gpc =
           Tk_stats.Span.sk_dbt_translate b.Translator.b_guest_count
       else 0
     in
-    t.translate_cycles <-
-      t.translate_cycles + (cost_translate_per_guest * b.Translator.b_guest_count);
-    charge t (cost_translate_per_guest * b.Translator.b_guest_count);
-    let h = emit_block t b in
-    Hashtbl.replace t.block_map gpc h;
-    Hashtbl.replace t.block_starts h gpc;
-    t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
-    Hashtbl.replace t.host_points h gpc;
+    let h = install t gpc b in
     t.blocks <- t.blocks + 1;
     t.guest_translated <- t.guest_translated + b.Translator.b_guest_count;
-    Hashtbl.replace t.block_size h
-      (b.Translator.b_guest_count, (t.cursor - h) asr 2);
     if t.superblock then begin
       sb_mark_cover t gpc b.Translator.b_guest_count;
       sb_record_succ t b;
-      sb_mark_fusions t h t.cursor;
       if sb_span_clean t gpc b.Translator.b_guest_count then
         sb_mark_exempt t h t.cursor
     end;
@@ -684,25 +686,14 @@ and sb_try_form t head =
             Tk_stats.Span.sk_dbt_form p.Superblock.p_guest_count
         else 0
       in
-      t.translate_cycles <-
-        t.translate_cycles
-        + (cost_translate_per_guest * p.Superblock.p_guest_count);
-      charge t (cost_translate_per_guest * p.Superblock.p_guest_count);
-      let b =
-        { Translator.b_guest_start = head;
-          b_guest_count = p.Superblock.p_guest_count;
-          b_emits = p.Superblock.p_emits }
-      in
       let old_h = Hashtbl.find t.block_map head in
-      let h = emit_block t b in
-      Hashtbl.replace t.block_map head h;
-      Hashtbl.replace t.block_starts h head;
-      t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
-      Hashtbl.replace t.host_points h head;
-      Hashtbl.replace t.block_size h
-        (p.Superblock.p_guest_count, (t.cursor - h) asr 2);
+      let h =
+        install t head
+          { Translator.b_guest_start = head;
+            b_guest_count = p.Superblock.p_guest_count;
+            b_emits = p.Superblock.p_emits }
+      in
       t.traces_formed <- t.traces_formed + 1;
-      sb_mark_fusions t h t.cursor;
       if
         List.for_all
           (fun (g, c) -> sb_span_clean t g c)
@@ -718,26 +709,26 @@ and sb_try_form t head =
       if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok
   end
 
-(* Block-boundary work for the superblock run loop, out of line so the
-   loop body stays register-tight: consume a pending whole-cache flush
-   (landing on the retranslated head — itself a block start, hence the
-   self-recursion), bump the execution count that feeds the formation
-   trigger, fire one-shot trace formation at the threshold, and open
-   the IRQ window. Returns the host pc to execute at (different from
-   [pcv] only after a flush redirect). *)
-and sb_boundary t (cpu : Exec.cpu) pcv idx =
+(* Block-boundary work for the run loop, out of line so the loop body
+   stays register-tight: consume a pending whole-cache flush (landing on
+   the retranslated head — itself a block start, hence the
+   self-recursion), bump the block's execution count, fire the
+   superblock tier's one-shot trace formation when the count reaches
+   the threshold, and open the IRQ window. Returns the host pc to
+   execute at (different from [pcv] only after a flush redirect). *)
+and block_boundary t (cpu : Exec.cpu) pcv idx =
   if t.pending_flush then begin
     (* read the guest mapping before the flush wipes it *)
     let gpc = Hashtbl.find t.block_starts pcv in
     flush_cache t;
     let h = translate_block t gpc in
     cpu.Exec.r.(pc) <- h;
-    sb_boundary t cpu h ((h - Soc.code_cache_base) asr 2)
+    block_boundary t cpu h ((h - Soc.code_cache_base) asr 2)
   end
   else begin
     let c = Array.unsafe_get t.block_exec idx + 1 in
     Array.unsafe_set t.block_exec idx c;
-    if c = t.sb_threshold then begin
+    if t.superblock && c = t.sb_threshold then begin
       let gpc = Hashtbl.find t.block_starts pcv in
       if not (Hashtbl.mem t.formed gpc) then begin
         Hashtbl.replace t.formed gpc ();
@@ -894,85 +885,35 @@ let set_smc_map t ranges =
 
 (* ----------------------------- run ---------------------------------- *)
 
-(** [run t cpu ~fuel] executes translated code until the context returns
-    to {!Layout.exit_magic} (raising {!Context_exit}) or a callback
-    raises. The [cpu] is mutated in place; callbacks observe a host pc
-    that is always a valid resume point. *)
-let run_plain t (cpu : Exec.cpu) ~fuel =
-  let m3 = t.soc.Soc.m3 in
-  let tr = t.tr in
-  (* tracing never toggles while translated code is executing, so the
-     decision is hoisted: the disabled loop tests only an immutable
-     register-resident bool and runs the seed's untraced environment *)
-  let traced = tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  (* telemetry sampler: same hoisting discipline *)
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
-  let r = cpu.Exec.r in
-  let clock = m3.Core.clock in
-  let n = ref 0 in
-  while true do
-    if !n >= fuel then raise (Host_error "DBT fuel exhausted");
-    incr n;
-    if clock.Clock.now >= t.deadline_ns then raise Quantum;
-    if sampling then Tk_stats.Timeseries.tick ts;
-    let pcv = Array.unsafe_get r pc in
-    if pcv = Layout.exit_magic then raise Context_exit;
-    if not (in_cache t pcv) then
-      raise
-        (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" pcv));
-    let idx = (pcv - Soc.code_cache_base) asr 2 in
-    if Array.unsafe_get t.block_start idx then begin
-      if t.profile then
-        Array.unsafe_set t.block_exec idx
-          (Array.unsafe_get t.block_exec idx + 1);
-      if t.irq_dispatch then t.cb.on_irq_window cpu
-    end;
-    let i =
-      let c = Array.unsafe_get t.host_decode idx in
-      if c != undecoded then c else decode_host t pcv
-    in
-    t.cur_pc <- pcv;
-    t.pc_overridden <- false;
-    t.host_executed <- t.host_executed + 1;
-    Core.retire m3 pcv;
-    if traced then
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_retire pcv 0;
-    match Exec.step cpu env ~addr:pcv i with
-    | Exec.Next -> if not t.pc_overridden then Array.unsafe_set r pc (pcv + 4)
-    | Exec.Branched -> Core.charge m3 cost_taken_branch
-  done
+(* The engine's one run loop, for every mode (Ark, Mid, Baseline) and
+   both tiers.
 
-(* The superblock tier's run loop. Differences from [run_plain]:
-
-   - the block-boundary probe counts executions unconditionally (the
-     formation trigger needs chain statistics even without the
-     profiler) and fires one-shot trace formation when a block's count
-     reaches [sb_threshold];
-   - a pending whole-cache flush (self-modifying guest) is consumed at
-     the probe, before this block's fetch — the next-boundary semantics
-     matching the interpreter's next-fetch granularity;
-   - a host word marked in [fuse_next] executes its successor in the
-     same iteration as a fused macro-op: the partner keeps its
-     instruction count and its cache traffic, but its base CPI charge
-     is waived;
-   - the boundary work lives out of line in {!sb_boundary} and the
+   - The loop-head probe (quantum deadline, exit sentinel, cache bounds,
+     block start) only runs after a control transfer or a callback pc
+     override. Every translated block and formed trace ends in an
+     unconditional control transfer — an engine site or a pc-writing
+     host instruction (test_dbt pins this) — so straight-line
+     fall-through can never reach the exit sentinel, leave the cache,
+     or cross into another block's head. {!Quantum} is raised only
+     there, before the iteration touches any state.
+   - A pending whole-cache flush (self-modifying guest) is consumed at
+     the probe, before the block's fetch — the next-boundary semantics
+     matching the interpreter's next-fetch granularity.
+   - The boundary work lives out of line in {!block_boundary}, and the
      per-instruction retire accounting ([Core.retire] and its
      [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body allocation-free and register-tight;
-   - the loop-head probes (exit sentinel, cache bounds, block start)
-     only run after a control transfer or a callback pc override:
-     translated blocks always end in an unconditional terminal, so
-     straight-line fall-through can never reach the exit sentinel,
-     leave the cache, or cross into another block's head.
+     body allocation-free and register-tight.
+   - A host word marked in [fuse_next] (superblock tier) makes the next
+     iteration a fused slot: the partner issues with its predecessor,
+     keeping its instruction count and its cache traffic but not its
+     base CPI, and it skips the fuel count, the sampler tick and the
+     probe.
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
    latency is bounded by the trace length (sb_max_blocks * block_limit
    guest instructions). *)
-let run_superblock t (cpu : Exec.cpu) ~fuel =
+let run_loop t (cpu : Exec.cpu) ~fuel =
   let m3 = t.soc.Soc.m3 in
   let cache = m3.Core.cache in
   let tags = cache.Cache.tags in
@@ -982,6 +923,10 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
   let cpi_num = m3.Core.p.Core.cpi_num in
   let cpi_den = m3.Core.p.Core.cpi_den in
   let tr = t.tr in
+  (* tracing and sampling never toggle while translated code is
+     executing, so both decisions are hoisted: the disabled loop tests
+     only immutable register-resident bools and runs the untraced
+     environment *)
   let traced = tr.Tk_stats.Trace.enabled in
   let env = if traced then t.env_traced else t.env in
   let ts = t.soc.Soc.sampler in
@@ -991,27 +936,32 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
   let cur = ref 0 in
   let cur_idx = ref 0 in
   let probe = ref true in
+  let fused = ref false in
   while true do
-    if !n >= fuel then raise (Host_error "DBT fuel exhausted");
-    incr n;
-    (* quantum check before the sampler tick so an unwound iteration
-       leaves no trace: the resumed iteration re-runs from here *)
-    if !probe && clock.Clock.now >= t.deadline_ns then raise Quantum;
-    if sampling then Tk_stats.Timeseries.tick ts;
-    if !probe then begin
-      let v = Array.unsafe_get r pc in
-      if v = Layout.exit_magic then raise Context_exit;
-      if not (in_cache t v) then
-        raise
-          (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" v));
-      let i0 = (v - Soc.code_cache_base) asr 2 in
-      let v' =
-        if Array.unsafe_get t.block_start i0 then sb_boundary t cpu v i0
-        else v
-      in
-      cur := v';
-      cur_idx := (if v' = v then i0 else (v' - Soc.code_cache_base) asr 2);
-      probe := false
+    let partner = !fused in
+    if partner then fused := false
+    else begin
+      if !n >= fuel then raise (Host_error "DBT fuel exhausted");
+      incr n;
+      (* quantum check before the sampler tick so an unwound iteration
+         leaves no trace: the resumed iteration re-runs from here *)
+      if !probe && clock.Clock.now >= t.deadline_ns then raise Quantum;
+      if sampling then Tk_stats.Timeseries.tick ts;
+      if !probe then begin
+        let v = Array.unsafe_get r pc in
+        if v = Layout.exit_magic then raise Context_exit;
+        if not (in_cache t v) then
+          raise
+            (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" v));
+        let i0 = (v - Soc.code_cache_base) asr 2 in
+        let v' =
+          if Array.unsafe_get t.block_start i0 then block_boundary t cpu v i0
+          else v
+        in
+        cur := v';
+        cur_idx := (if v' = v then i0 else (v' - Soc.code_cache_base) asr 2);
+        probe := false
+      end
     end;
     let pcv = !cur and idx = !cur_idx in
     let i =
@@ -1024,7 +974,8 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
     (* [Core.retire m3 pcv], inlined with its charge/advance call chain
        and the CPI carry resolution — side effects and cycle arithmetic
        identical (count, I-fetch through the cache, then base CPI +
-       stall booked to the clock) *)
+       stall booked to the clock). A fused partner books no base CPI,
+       which leaves exactly [Core.charge_stall m3 stall]. *)
     m3.Core.instructions <- m3.Core.instructions + 1;
     (* I-fetch hit fast path of [Cache.access ~write:false], inlined; a
        tag mismatch falls back to the full call, which re-runs the
@@ -1043,7 +994,8 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
     in
     if stall <> 0 then m3.Core.stall_cycles <- m3.Core.stall_cycles + stall;
     let base =
-      if cpi_num = 0 then 1
+      if partner then 0
+      else if cpi_num = 0 then 1
       else begin
         let acc = m3.Core.cpi_acc + cpi_num in
         if acc < cpi_den then begin m3.Core.cpi_acc <- acc; 1 end
@@ -1076,65 +1028,25 @@ let run_superblock t (cpu : Exec.cpu) ~fuel =
     match Exec.step cpu env ~addr:pcv i with
     | Exec.Next ->
       if t.pc_overridden then probe := true
-      else if Array.unsafe_get t.fuse_next idx then begin
-        (* fused macro-op slot: the partner issues with its
-           predecessor — count it and its cache traffic, waive its
-           base CPI ([Core.charge_stall] of [Core.fetch_cost],
-           inlined) *)
-        let pcv2 = pcv + 4 in
-        Array.unsafe_set r pc pcv2;
-        let i2 =
-          let c = Array.unsafe_get t.host_decode (idx + 1) in
-          if c != undecoded then c else decode_host t pcv2
-        in
-        t.cur_pc <- pcv2;
-        t.host_executed <- t.host_executed + 1;
-        m3.Core.instructions <- m3.Core.instructions + 1;
-        let stall2 =
-          let line = pcv2 lsr line_bits in
-          let set =
-            if set_mask >= 0 then line land set_mask
-            else line mod cache.Cache.nsets
-          in
-          if Array.unsafe_get tags set = line then begin
-            cache.Cache.hits <- cache.Cache.hits + 1;
-            0
-          end
-          else Cache.access cache ~write:false pcv2
-        in
-        if stall2 <> 0 then begin
-          m3.Core.stall_cycles <- m3.Core.stall_cycles + stall2;
-          Core.charge m3 stall2
-        end
-        else if clock.Clock.next_at <= clock.Clock.now then
-          Clock.run_due clock;
-        if traced then
-          Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-            Tk_stats.Trace.ev_retire pcv2 0;
-        match Exec.step cpu env ~addr:pcv2 i2 with
-        | Exec.Next ->
-          if t.pc_overridden then probe := true
-          else begin
-            Array.unsafe_set r pc (pcv2 + 4);
-            cur := pcv2 + 4;
-            cur_idx := idx + 2
-          end
-        | Exec.Branched ->
-          Core.charge m3 cost_taken_branch;
-          probe := true
-      end
       else begin
         Array.unsafe_set r pc (pcv + 4);
         cur := pcv + 4;
-        cur_idx := idx + 1
+        cur_idx := idx + 1;
+        (* greedy pairing never marks a partner, so a fused slot is
+           never itself followed by one *)
+        fused := Array.unsafe_get t.fuse_next idx
       end
     | Exec.Branched ->
       Core.charge m3 cost_taken_branch;
       probe := true
   done
 
+(** [run t cpu ~fuel] executes translated code until the context returns
+    to {!Layout.exit_magic} (raising {!Context_exit}) or a callback
+    raises. The [cpu] is mutated in place; callbacks observe a host pc
+    that is always a valid resume point. *)
 let run t cpu ~fuel =
-  (* one execution-burst span per engine entry; the loops only exit by
+  (* one execution-burst span per engine entry; the loop only exits by
      exception (Context_exit, fallback, host error), so the close rides
      in [~finally]. A burst cut by {!Quantum} reopens coalesced on
      resume (zero simulated time passes across the cut, and nothing
@@ -1155,15 +1067,12 @@ let run t cpu ~fuel =
     Fun.protect
       ~finally:(fun () -> Tk_stats.Span.leave sp tok)
       (fun () ->
-        try
-          if t.superblock then run_superblock t cpu ~fuel
-          else run_plain t cpu ~fuel
+        try run_loop t cpu ~fuel
         with Quantum ->
           t.span_cut <- Tk_stats.Span.slot_of sp tok;
           raise Quantum)
   end
-  else if t.superblock then run_superblock t cpu ~fuel
-  else run_plain t cpu ~fuel
+  else run_loop t cpu ~fuel
 
 (** [entry_host t gpc] — host address for guest entry [gpc], translating
     on demand (used by ARK to start contexts). *)

@@ -35,9 +35,11 @@ exception Host_error of string
 
 exception Quantum
 (** the M3 clock reached [deadline_ns] (bounded-quantum lockstep): the
-    run loop unwound at an instruction boundary with the context's pc
-    saved, so a later {!run} with the same cpu resumes exactly where it
-    stopped. Never raised while [deadline_ns = max_int] (the default). *)
+    run loop unwound at its next probe point — after a control transfer
+    or a callback pc override, before the next instruction touches any
+    state — with the context's pc saved, so a later {!run} with the same
+    cpu resumes exactly where it stopped. Never raised while
+    [deadline_ns = max_int] (the default). *)
 
 val undecoded : Types.inst
 (** distinguished not-yet-decoded marker filling empty [host_decode]
@@ -63,7 +65,7 @@ type t = {
           slots hold the physically distinguished {!undecoded} sentinel *)
   block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
-          probed per instruction for the IRQ window *)
+          probed after every control transfer for the IRQ window *)
   mutable cur_pc : int;
   mutable pc_overridden : bool;
   mutable chain : bool;  (** patch direct branches (ablation knob) *)
@@ -83,16 +85,19 @@ type t = {
       (** simulated M3 cycles charged for translation / trace formation;
           a monotone attribution gauge for the span tracer *)
   mutable profile : bool;
-      (** count per-block executions / dispatch entries (host-side
-          observability; simulated charges are unaffected) *)
+      (** also count per-block entries through the dispatch slow path
+          (host-side observability; simulated charges are unaffected).
+          Block executions ([block_exec]) are counted on every run, so
+          enable it before the first run for a consistent chain rate. *)
   block_exec : int array;
   block_dispatch : (int, int) Hashtbl.t;
   block_size : (int, int * int) Hashtbl.t;
   (* superblock tier (above Ark; cycle-accounted, not cycle-neutral) *)
   mutable superblock : bool;
-      (** select the superblock run loop: trace formation over hot block
-          chains, macro-op fused execution, whole-trace invalidation.
-          Only meaningful with [mode = Ark]. *)
+      (** the superblock tier: gates trace formation over hot block
+          chains, the macro-op fusion marks and the store-invalidation
+          probe (whole-trace invalidation) — every mode and tier shares
+          one run loop. Only meaningful with [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
   mutable sb_max_blocks : int;  (** max constituent blocks per trace *)
@@ -134,8 +139,8 @@ type t = {
   mutable probes_elided : int;
       (** image-span stores that skipped the probe via [probe_exempt] *)
   mutable deadline_ns : int;
-      (** bounded-quantum lockstep: the run loops raise {!Quantum} at
-          the first resumable point once the M3 clock reaches this
+      (** bounded-quantum lockstep: the run loop raises {!Quantum} at
+          its next probe point once the M3 clock reaches this
           absolute time. [max_int] (default) = run to completion. The
           scheduler clears it around nested context runs (IRQ delivery,
           fallback draining), which must finish indivisibly. *)

@@ -718,6 +718,14 @@ let counter t k =
     | _ -> 0)
   | _ -> 0
 
+(** [quantile_row ~count ~p50 ~p99 ~p999] — one summary row's quantile
+    cells. A quantile needs samples behind it: p50 prints ["-"] with
+    none, p99 below 100 and p999 below 1000. *)
+let quantile_row ~count ~p50 ~p99 ~p999 =
+  let cell min_n v = if count < min_n then "-" else string_of_int v in
+  Printf.sprintf "%s/%s/%s ns (n=%d)" (cell 1 p50) (cell 100 p99)
+    (cell 1000 p999) count
+
 (** Collector-side human rendering (shard workers never print). *)
 let print_summary t =
   let cfg = t.config in
@@ -737,15 +745,14 @@ let print_summary t =
           match List.assoc_opt f o with Some (J.Int v) -> v | _ -> 0)
         | _ -> 0
       in
-      Printf.printf
-        "  wakeups %d  fallbacks %d  wakeup p50/p99/p999 %d/%d/%d ns\n"
-        (geti "wakeups") (geti "fallbacks") (q "wakeup_ns" "p50")
-        (q "wakeup_ns" "p99") (q "wakeup_ns" "p999");
+      Printf.printf "  wakeups %d  fallbacks %d\n" (geti "wakeups")
+        (geti "fallbacks");
       List.iter
-        (fun (f, _) ->
-          Printf.printf "  %-21s p50/p99/p999 %d/%d/%d ns (n=%d)\n" f
-            (q f "p50") (q f "p99") (q f "p999") (q f "count"))
-        span_fields
+        (fun f ->
+          Printf.printf "  %-21s p50/p99/p999 %s\n" f
+            (quantile_row ~count:(q f "count") ~p50:(q f "p50")
+               ~p99:(q f "p99") ~p999:(q f "p999")))
+        ("wakeup_ns" :: List.map fst span_fields)
     | _ -> ())
   | _ -> ());
   List.iter

@@ -139,5 +139,11 @@ val counter : t -> string -> int
 (** an aggregate counter out of the fleet document
     (e.g. ["fleet.wakeups"]); 0 when absent *)
 
+val quantile_row : count:int -> p50:int -> p99:int -> p999:int -> string
+(** one summary row's quantile cells, ["p50/p99/p999 ns (n=count)"]; a
+    quantile its sample count cannot support prints ["-"]: p50 needs one
+    sample, p99 100 and p999 1000 *)
+
 val print_summary : t -> unit
-(** collector-side human rendering (shard workers never print) *)
+(** collector-side human rendering (shard workers never print); every
+    quantile row carries its sample count *)

@@ -242,22 +242,8 @@ let step t =
   let ts = t.soc.Soc.sampler in
   if ts.Tk_stats.Timeseries.enabled then Tk_stats.Timeseries.tick ts
 
-(** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
-    instructions elapse, which raises {!Fault} — a runaway guest). *)
-let run_loop t ~fuel =
-  let n = ref 0 in
-  let traced = t.tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  (* telemetry sampler: same hoisting discipline as tracing — when
-     sampling is off the loop only tests an immutable bool *)
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
-  while !n < fuel do
-    incr n;
-    step_env t traced env;
-    if sampling then Tk_stats.Timeseries.tick ts
-  done;
-  raise (Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel))
+let fuel_exhausted fuel =
+  Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel)
 
 (** [run_until t ~deadline ~fuel] — bounded-quantum slice of {!run}:
     step until the core's clock reaches absolute time [deadline], then
@@ -268,18 +254,26 @@ let run_until t ~deadline ~fuel =
   let n = ref 0 in
   let traced = t.tr.Tk_stats.Trace.enabled in
   let env = if traced then t.env_traced else t.env in
+  (* telemetry sampler: same hoisting discipline as tracing — when
+     sampling is off the loop only tests an immutable bool *)
   let ts = t.soc.Soc.sampler in
   let sampling = ts.Tk_stats.Timeseries.enabled in
   let clock = t.core.Core.clock in
   while clock.Clock.now < deadline do
-    if !n >= fuel then
-      raise (Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel));
+    if !n >= fuel then raise (fuel_exhausted fuel);
     incr n;
     step_env t traced env;
     if sampling then Tk_stats.Timeseries.tick ts
   done
 
+(** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
+    instructions elapse, which raises {!Fault} — a runaway guest): the
+    slice whose deadline never comes. *)
 let run t ~fuel =
+  let go () =
+    run_until t ~deadline:max_int ~fuel;
+    raise (fuel_exhausted fuel)
+  in
   (* one execution-burst span per call; [run] only ever exits by
      exception (Halt / Fault), so the close rides in [~finally] *)
   let sp = t.soc.Soc.spans in
@@ -288,8 +282,6 @@ let run t ~fuel =
       Tk_stats.Span.enter sp ~core:Tk_stats.Trace.core_cpu
         Tk_stats.Span.sk_run 0
     in
-    Fun.protect
-      ~finally:(fun () -> Tk_stats.Span.leave sp tok)
-      (fun () -> run_loop t ~fuel)
+    Fun.protect ~finally:(fun () -> Tk_stats.Span.leave sp tok) go
   end
-  else run_loop t ~fuel
+  else go ()

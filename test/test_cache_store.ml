@@ -123,6 +123,64 @@ let test_corrupt_cold () =
       Alcotest.(check bool) "corrupt file is a cold start" true
         (Cache_store.load ~dir ~key:"cafe1234" = None))
 
+(* Every corruption of a saved cache — bits flipped anywhere, or the
+   file cut short anywhere — must load as a cold start: the header lines
+   are compared exactly and the payload is checked against its digest
+   before any byte of it reaches [Marshal]. Without the digest, random
+   flips in the payload crashed the process or raised from deep inside
+   the engine. *)
+let test_corruption_battery () =
+  let image = hot_image () in
+  let key =
+    Cache_store.key_of_image ~base:image.Asm.base ~words:image.Asm.words
+  in
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let _, _, _, engine = run_hot ~store:(Cache_store.create ~key) image in
+      Cache_store.save ~dir (Option.get engine.Engine.store);
+      let file = Cache_store.path ~dir ~key in
+      let good = In_channel.with_open_bin file In_channel.input_all in
+      let load bytes =
+        Out_channel.with_open_bin file (fun oc ->
+            Out_channel.output_string oc bytes);
+        Cache_store.load ~dir ~key
+      in
+      let cold label bytes =
+        if load bytes <> None then
+          Alcotest.failf "%s: corrupted cache loaded" label
+      in
+      let n = String.length good in
+      for len = 0 to n - 1 do
+        cold (Printf.sprintf "truncated to %d of %d bytes" len n)
+          (String.sub good 0 len)
+      done;
+      let flip b pos bit =
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)))
+      in
+      (* every single-bit flip in the header lines *)
+      for pos = 0 to min n 64 - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string good in
+          flip b pos bit;
+          cold (Printf.sprintf "bit %d of byte %d flipped" bit pos)
+            (Bytes.to_string b)
+        done
+      done;
+      (* four random flips per case, anywhere in the file *)
+      let rng = Random.State.make [| 12 |] in
+      for case = 1 to 300 do
+        let b = Bytes.of_string good in
+        for _ = 1 to 4 do
+          flip b (Random.State.int rng n) (Random.State.int rng 8)
+        done;
+        let s = Bytes.to_string b in
+        if s <> good then cold (Printf.sprintf "random flips, case %d" case) s
+      done;
+      Alcotest.(check bool) "the intact file still loads" true
+        (load good <> None))
+
 (* the fixed-tmp race fix: concurrent writers sharing one cache dir use
    unique per-process tmp names, so one save can never rename another's
    half-written file into place; after both commit, the dir holds only
@@ -257,6 +315,8 @@ let () =
             test_key_mismatch_cold;
           Alcotest.test_case "corrupt file is a cold start" `Quick
             test_corrupt_cold;
+          Alcotest.test_case "bit flips and truncation are cold starts"
+            `Quick test_corruption_battery;
           Alcotest.test_case "concurrent saves never clobber" `Quick
             test_concurrent_saves;
           Alcotest.test_case "unwritable dir degrades to cold" `Quick

@@ -305,6 +305,71 @@ let test_indirect_call () =
   (try Engine.run engine cpu ~fuel:100000 with Engine.Context_exit -> ());
   Alcotest.(check int) "indirect call result" 99 cpu.Exec.r.(0)
 
+(* ------------------- block-terminal invariant ----------------------- *)
+
+(* The engine's one run loop probes for block starts, the exit sentinel
+   and the quantum deadline only after a control transfer. That is sound
+   only if every translated block and formed trace ends in an
+   unconditional one — an engine site, or a host instruction that
+   writes pc — so straight-line fall-through never reaches another
+   block's head. *)
+let ends_in_transfer (emits : Translator.emit list) =
+  match List.rev emits with
+  | Translator.E_site (AL, _, _) :: _ -> true
+  | Translator.E_inst ({ cond = AL; op } as i) :: _ -> (
+    match op with
+    | B _ | Bl _ | Bx _ | Blx_r _ -> true
+    | _ -> List.mem Types.pc (regs_written i))
+  | _ -> false
+
+let mode_name = function
+  | Translator.Ark -> "ark"
+  | Translator.Mid -> "mid"
+  | Translator.Baseline -> "baseline"
+
+let test_blocks_end_in_transfer () =
+  let built = Tk_drivers.Platform.build_image () in
+  let image = built.Tk_kernel.Image.image in
+  List.iter
+    (fun mode ->
+      let ark = Tk_harness.Ark_run.create ~built ~mode () in
+      let engine = ark.Tk_harness.Ark_run.ark.Transkernel.Ark.engine in
+      let ctx =
+        { Translator.mode; classify_target = engine.Engine.classify_target;
+          block_limit = engine.Engine.block_limit;
+          read_guest =
+            (fun a -> V7a.decode image.Asm.words.((a - image.Asm.base) / 4));
+          legalize = Translator.default_legalize }
+      in
+      Hashtbl.iter
+        (fun gpc name ->
+          let b = Translator.translate ctx ~gpc in
+          if not (ends_in_transfer b.Translator.b_emits) then
+            Alcotest.failf "%s: block at %s (0x%x) can fall through"
+              (mode_name mode) name gpc)
+        image.Asm.sym_of_addr)
+    [ Translator.Ark; Translator.Mid; Translator.Baseline ]
+
+let test_traces_end_in_transfer () =
+  let ark = Tk_harness.Ark_run.create ~superblock:true () in
+  let engine = ark.Tk_harness.Ark_run.ark.Transkernel.Ark.engine in
+  (* an admit-everything certifier sees every plan the run forms *)
+  let plans = ref [] in
+  engine.Engine.sb_certify <-
+    Some
+      (fun p ->
+        plans := p :: !plans;
+        true);
+  (match Tk_harness.Ark_run.suspend_resume_cycle ark with
+  | `Ok -> ()
+  | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
+  Alcotest.(check bool) "the cycle formed traces" true (!plans <> []);
+  List.iter
+    (fun (p : Superblock.plan) ->
+      if not (ends_in_transfer p.Superblock.p_emits) then
+        Alcotest.failf "trace at 0x%x can fall through" p.Superblock.p_head)
+    !plans
+
 let () =
   Alcotest.run "dbt"
     [ ( "differential",
@@ -317,4 +382,8 @@ let () =
       ( "engine",
         [ Alcotest.test_case "call-site patching" `Quick test_patching;
           Alcotest.test_case "loop chaining" `Quick test_loop_translation;
-          Alcotest.test_case "indirect calls" `Quick test_indirect_call ] ) ]
+          Alcotest.test_case "indirect calls" `Quick test_indirect_call;
+          Alcotest.test_case "every block ends in a control transfer"
+            `Quick test_blocks_end_in_transfer;
+          Alcotest.test_case "every trace ends in a control transfer"
+            `Quick test_traces_end_in_transfer ] ) ]

@@ -125,6 +125,21 @@ let test_span_telemetry () =
     [ "span_run_ns"; "span_resume_ns"; "span_suspend_ns";
       "span_irq_deliver_ns" ]
 
+(* the printed summary never shows a quantile without samples behind
+   it, and every row carries its count *)
+let test_quantile_cells () =
+  let row count = Fleet.quantile_row ~count ~p50:5 ~p99:7 ~p999:9 in
+  List.iter
+    (fun (count, want) ->
+      Alcotest.(check string) (Printf.sprintf "n=%d" count) want (row count))
+    [ (0, "-/-/- ns (n=0)");
+      (1, "5/-/- ns (n=1)");
+      (58, "5/-/- ns (n=58)");
+      (99, "5/-/- ns (n=99)");
+      (100, "5/7/- ns (n=100)");
+      (999, "5/7/- ns (n=999)");
+      (1000, "5/7/9 ns (n=1000)") ]
+
 let test_chaos_error_propagation () =
   (* a shard that dies must surface as (index, message) without taking
      the fleet down; healthy shards still complete *)
@@ -163,5 +178,7 @@ let () =
             test_population_accounting;
           Alcotest.test_case "span quantiles ride the aggregate" `Quick
             test_span_telemetry;
+          Alcotest.test_case "summary quantiles need samples" `Quick
+            test_quantile_cells;
           Alcotest.test_case "shard failure -> (index, message)" `Quick
             test_chaos_error_propagation ] ) ]
