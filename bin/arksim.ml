@@ -7,7 +7,7 @@
                 [--timeseries FILE] [--sample-every NS] [--manifest FILE]
                 [-v]
      arksim report --baseline A --candidate B [--tolerance PCT]
-                [--only k1,k2]         diff two manifests / BENCH files
+                [--only k1,k2]         diff two run manifests
      arksim sweep --kind stress|fuzz|whatif [--tasks N] [--jobs J]
                 [--seed S] [--out FILE]  parallel campaign; same --seed
                                        gives the same digest at any -j
@@ -501,22 +501,26 @@ let report_cmd baseline candidate tolerance only =
     | Some s ->
       List.filter (fun s -> s <> "") (String.split_on_char ',' s)
   in
-  match
-    Manifest.compare_manifests ~baseline ~candidate ~only
-      ~tolerance_pct:tolerance
-  with
-  | exception Manifest.Parse_error msg ->
-    Printf.eprintf "report: parse error: %s\n" msg;
+  (* a NaN or infinite band would pass every delta *)
+  if not (Float.is_finite tolerance && tolerance >= 0.0) then begin
+    Printf.eprintf "report: --tolerance must be a finite percentage >= 0\n";
     2
-  | exception Sys_error msg ->
-    Printf.eprintf "report: %s\n" msg;
-    2
-  | verdicts, missing ->
-    if verdicts = [] && missing = [] then begin
+  end
+  else
+    match
+      Manifest.compare_manifests ~baseline ~candidate ~only
+        ~tolerance_pct:tolerance
+    with
+    | exception Manifest.Parse_error msg ->
+      Printf.eprintf "report: parse error: %s\n" msg;
+      2
+    | exception Sys_error msg ->
+      Printf.eprintf "report: %s\n" msg;
+      2
+    | [], [] ->
       Printf.eprintf "report: no metrics selected\n";
       2
-    end
-    else begin
+    | verdicts, missing ->
       Tk_stats.Report.table
         ~title:
           (Printf.sprintf "%s -> %s (tolerance %.1f%%)"
@@ -541,7 +545,6 @@ let report_cmd baseline candidate tolerance only =
       Printf.printf "report: %d metric(s), %d regression(s), %d missing\n"
         (List.length verdicts) nreg (List.length missing);
       if nreg > 0 || missing <> [] then 1 else 0
-    end
 
 (* ------------------------------- sweep ------------------------------- *)
 
@@ -957,10 +960,10 @@ let report_t =
     const report_cmd
     $ Arg.(required & opt (some string) None
            & info [ "baseline" ] ~docv:"FILE"
-               ~doc:"Baseline manifest or BENCH json.")
+               ~doc:"Baseline run manifest (or campaign/fleet document).")
     $ Arg.(required & opt (some string) None
            & info [ "candidate" ] ~docv:"FILE"
-               ~doc:"Candidate manifest or BENCH json.")
+               ~doc:"Candidate run manifest (or campaign/fleet document).")
     $ Arg.(value & opt float 15.0
            & info [ "tolerance" ] ~docv:"PCT"
                ~doc:"Allowed relative change per metric, percent.")
@@ -974,8 +977,8 @@ let cmds =
   [ Cmd.v (Cmd.info "run" ~doc:"Run suspend/resume cycles.") run_t;
     Cmd.v
       (Cmd.info "report"
-         ~doc:"Diff two run manifests (or BENCH files) with a tolerance \
-               band. Exits 1 on any regression, 2 on parse errors.")
+         ~doc:"Diff two run manifests with a tolerance band. Exits 1 on \
+               any regression, 2 on parse or usage errors.")
       report_t;
     Cmd.v
       (Cmd.info "sweep"

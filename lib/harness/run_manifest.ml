@@ -1,18 +1,20 @@
 (** Run manifests: machine-readable results + the regression gate.
 
-    Every [arksim run]/[bench] invocation can emit a manifest — a small
-    JSON document carrying the run's identity (git rev, variant,
-    kernel), its {e deterministic} metrics (simulated counters, the
-    per-phase energy table from the attribution ledger) and its
-    {e volatile} host figures (wall time, sim-MIPS). [arksim report]
-    diffs two manifests metric by metric with a tolerance band, which is
-    what turns BENCH_N.json from a dead scalar dump into a trajectory CI
-    can gate on.
+    [arksim run --manifest] emits a manifest — a small JSON document
+    carrying the run's identity (git rev, variant, kernel), its
+    {e deterministic} metrics (simulated counters, the per-phase energy
+    table from the attribution ledger) and its {e volatile} host figures
+    (wall time, sim-MIPS). The campaign and fleet documents and
+    perfbench's results are written with the same writer.
+    [arksim report] diffs two such documents metric by metric with a
+    tolerance band.
 
     No JSON library ships in this toolchain, so both the writer and the
     (deliberately minimal) reader live here. The reader flattens numeric
     leaves to dotted paths ("metrics.energy_uj.dram"), which is also the
-    key syntax [report --only] accepts. *)
+    key syntax [report --only] accepts. It reads files from outside the
+    program, so it fails closed: anything it cannot read exactly raises
+    [Parse_error]. *)
 
 (* ------------------------------ writing ------------------------------ *)
 
@@ -139,10 +141,17 @@ let write_file path j =
 
 exception Parse_error of string
 
-(** Minimal JSON reader, just enough for our own manifests and BENCH
-    files: objects, arrays, numbers, strings, true/false/null. Numeric
-    leaves land in a flat [(dotted.path, value)] list; everything else
-    is structure or ignored. *)
+(** Deepest nesting the reader accepts. Manifests, campaign and fleet
+    documents nest fewer than 10 levels; the bound keeps the reader's
+    stack and its per-level path strings small on hostile input. *)
+let max_depth = 32
+
+(** Minimal JSON reader, just enough for our own manifests, campaign
+    and fleet documents: objects, arrays, numbers, strings,
+    true/false/null. Numeric leaves land in a flat
+    [(dotted.path, value)] list; everything else is structure or
+    ignored. Input it cannot read exactly — nesting past [max_depth], a
+    non-finite number, a misspelt literal — raises [Parse_error]. *)
 let load_flat path =
   let s =
     let ic = open_in_bin path in
@@ -206,16 +215,29 @@ let load_flat path =
     done;
     if !pos = start then fail "expected number";
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
+    | Some f when Float.is_finite f -> f
+    | Some _ -> fail "non-finite number"
     | None -> fail "malformed number"
+  in
+  let literal word =
+    let n = String.length word in
+    if !pos + n > len || String.sub s !pos n <> word then
+      fail ("expected " ^ word);
+    pos := !pos + n
   in
   let acc = ref [] in
   let emit path v = acc := (path, v) :: !acc in
   let join prefix k = if prefix = "" then k else prefix ^ "." ^ k in
-  let rec parse_value path =
+  let deeper depth =
+    if depth >= max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    depth + 1
+  in
+  let rec parse_value depth path =
     skip_ws ();
     match peek () with
     | '{' ->
+      let depth = deeper depth in
       advance ();
       skip_ws ();
       if peek () = '}' then advance ()
@@ -223,7 +245,7 @@ let load_flat path =
         let rec members () =
           let k = parse_string () in
           expect ':';
-          parse_value (join path k);
+          parse_value depth (join path k);
           skip_ws ();
           if peek () = ',' then begin
             advance ();
@@ -235,13 +257,14 @@ let load_flat path =
         members ()
       end
     | '[' ->
+      let depth = deeper depth in
       advance ();
       skip_ws ();
       if peek () = ']' then advance ()
       else begin
         let i = ref 0 in
         let rec elems () =
-          parse_value (join path (string_of_int !i));
+          parse_value depth (join path (string_of_int !i));
           incr i;
           skip_ws ();
           if peek () = ',' then begin
@@ -254,12 +277,12 @@ let load_flat path =
         elems ()
       end
     | '"' -> ignore (parse_string ())
-    | 't' -> pos := !pos + 4
-    | 'f' -> pos := !pos + 5
-    | 'n' -> pos := !pos + 4
+    | 't' -> literal "true"
+    | 'f' -> literal "false"
+    | 'n' -> literal "null"
     | _ -> emit path (parse_number ())
   in
-  parse_value "";
+  parse_value 0 "";
   skip_ws ();
   if !pos <> len then fail "trailing garbage";
   List.rev !acc
@@ -317,9 +340,10 @@ type verdict = {
     both files and checks every numeric metric present in both (the
     [meta]/[digest] sections carry no numbers, so they never gate).
     [only] restricts to the listed dotted paths, matched as suffixes so
-    ["sim_mips_dbt"] finds ["host.sim_mips_dbt"] in a manifest and the
-    bare key in a BENCH file. Returns the verdicts plus any keys of the
-    baseline missing from the candidate. *)
+    ["sim_mips"] finds ["host.sim_mips"] in a manifest and a top-level
+    ["sim_mips"] alike. Returns the verdicts plus any keys of the
+    baseline missing from the candidate. Unreadable input raises
+    [Parse_error] (or [Sys_error] for a missing file), nothing else. *)
 let compare_manifests ~baseline ~candidate ~only ~tolerance_pct =
   let base = load_flat baseline and cand = load_flat candidate in
   let suffix_match key pat =

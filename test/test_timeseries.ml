@@ -432,6 +432,64 @@ let test_load_flat_roundtrip () =
       Alcotest.(check (option (float 0.0))) "strings not numeric leaves" None
         (List.assoc_opt "nest.s" flat))
 
+(* The reader takes files from outside the program, so it must fail
+   closed: every input either parses or raises Parse_error — no other
+   exception, and no memory that grows with the nesting depth. Starts
+   from a real manifest and corrupts it. *)
+let test_reader_corruption () =
+  let metrics, counters = ark_manifest_sections () in
+  let host =
+    Manifest.Obj [ ("wall_s", Manifest.Num 0.5); ("sim_mips", Manifest.Num 20.) ]
+  in
+  let doc =
+    Manifest.pretty
+      (Manifest.make ~variant:"ark" ~kernel:"v4.4" ~cycles:1 ~metrics ~counters
+         ~host ())
+  in
+  let good = write_tmp doc in
+  let bad = write_tmp "" in
+  let outcome label content =
+    let oc = open_out_bin bad in
+    output_string oc content;
+    close_out oc;
+    match
+      Manifest.compare_manifests ~baseline:good ~candidate:bad ~only:[]
+        ~tolerance_pct:15.0
+    with
+    | _ -> `Parsed
+    | exception Manifest.Parse_error _ -> `Refused
+    | exception e ->
+      Alcotest.failf "%s: raised %s" label (Printexc.to_string e)
+  in
+  let refused label content =
+    if outcome label content <> `Refused then
+      Alcotest.failf "%s: read as a clean document" label
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ good; bad ])
+    (fun () ->
+      Alcotest.(check bool) "the intact manifest parses" true
+        (outcome "intact" doc = `Parsed);
+      (* a truncated object always lacks its closing brace *)
+      for n = 0 to String.length doc - 1 do
+        refused (Printf.sprintf "truncated to %d bytes" n) (String.sub doc 0 n)
+      done;
+      let rng = Random.State.make [| 13 |] in
+      for i = 1 to 300 do
+        let b = Bytes.of_string doc in
+        Bytes.set b
+          (Random.State.int rng (Bytes.length b))
+          (Char.chr (Random.State.int rng 256));
+        ignore (outcome (Printf.sprintf "mutation %d" i) (Bytes.to_string b))
+      done;
+      let depth = 5_000 in
+      refused "deep arrays" (String.make depth '[' ^ String.make depth ']');
+      refused "deep objects"
+        (String.concat "" (List.init depth (fun _ -> {|{"a":|}))
+        ^ "1" ^ String.make depth '}');
+      refused "non-finite number" {|{"x": 1e999}|};
+      refused "bad literal" {|{"x": nope}|})
+
 let () =
   if Sys.getenv_opt "TK_CAPTURE" <> None then begin
     let metrics, counters = ark_manifest_sections () in
@@ -470,4 +528,6 @@ let () =
           Alcotest.test_case "worsened miss_rate fails the gate" `Quick
             test_gate_miss_rate;
           Alcotest.test_case "flat JSON reader round-trip" `Quick
-            test_load_flat_roundtrip ] ) ]
+            test_load_flat_roundtrip;
+          Alcotest.test_case "reader fails closed on corrupt input" `Quick
+            test_reader_corruption ] ) ]
