@@ -601,6 +601,7 @@ let fleet_cmd devices arrival jobs seed duration_ms gap_ms shard_cap reversed
 
 (* ------------------------------ compare ------------------------------ *)
 
+(* exit codes: 0 the kernel end states agree, 1 they differ *)
 let compare_cmd cycles =
   let nat = Native_run.create () in
   let ark = Ark_run.create () in
@@ -618,7 +619,7 @@ let compare_cmd cycles =
     Native_run.device_states nat = Native_run.device_states ark.Ark_run.nat
   in
   Printf.printf "kernel end states agree: %b\n" same;
-  0
+  if same then 0 else 1
 
 (* ------------------------------ disasm ------------------------------- *)
 
@@ -1064,7 +1065,9 @@ let cmds =
                & info [ "out" ] ~docv:"FILE"
                    ~doc:"Write the fleet JSON document to $(docv)."));
     Cmd.v
-      (Cmd.info "compare" ~doc:"Native vs offloaded, side by side.")
+      (Cmd.info "compare"
+         ~doc:"Native vs offloaded, side by side; exits 1 if the kernel \
+               end states differ.")
       Term.(const compare_cmd $ cycles_arg);
     Cmd.v
       (Cmd.info "disasm" ~doc:"Disassemble a kernel symbol and its \

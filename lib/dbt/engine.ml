@@ -5,7 +5,8 @@
     direct-branch patching ("chaining"), and the host execution loop —
     a V7M interpreter charged against the M3 core model, fetching emitted
     words through the M3's 32 KB cache (whose thrashing is the DRAM story
-    of §7.3).
+    of §7.3) and running each as the closure {!Exec.compile} built when
+    it was emitted.
 
     The engine is policy-free: ARK (the [transkernel] library) supplies
     callbacks for emulated services, hooks, guest hypercalls, interrupt
@@ -41,10 +42,6 @@ exception Quantum
     cpu resumes exactly where it stopped. Never raised while
     [deadline_ns = max_int] (the default). *)
 
-(** Distinguished not-yet-decoded marker for [host_decode] slots,
-    compared by physical equality ([==]) and never executed. *)
-let undecoded : inst = { cond = AL; op = Udf (-1) }
-
 type t = {
   soc : Soc.t;
   mode : Translator.mode;
@@ -61,15 +58,16 @@ type t = {
           in a saved context or on the stack (call return sites, svc
           resume points, block starts) — the map fallback migration uses
           to rewrite code-cache addresses (§5.3) *)
-  host_decode : inst array;
+  host_decode : Exec.decoded array;
       (** dense pre-decoded code cache, indexed by
-          [(addr - Soc.code_cache_base) / 4]: populated at [write_host]
-          time (so patching a site re-decodes it in place), read by the
-          hot loop as one array load. Empty slots hold the physically
-          distinguished {!undecoded} sentinel rather than an option, so
-          the per-instruction fetch is a pointer compare with no [Some]
-          indirection. Host-side speed only — the simulated charges are
-          unchanged. *)
+          [(addr - Soc.code_cache_base) / 4]: each slot holds the host
+          instruction and its {!Exec.compile}d closure, populated at
+          [write_host] time (so patching a site re-decodes it in place)
+          and read by the hot loop as one array load. Empty slots hold
+          the physically distinguished {!Exec.undecoded} sentinel rather
+          than an option, so the per-instruction fetch is a pointer
+          compare with no [Some] indirection. Host-side speed only — the
+          simulated charges are unchanged. *)
   block_start : bool array;
       (** dense membership set mirroring [block_starts], same indexing
           as [host_decode] — the hot loop's IRQ-window probe *)
@@ -210,7 +208,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       cb = dummy_cb (); cursor = Soc.code_cache_base;
       block_map = Hashtbl.create 1024; block_starts = Hashtbl.create 1024;
       sites = Hashtbl.create 1024; host_points = Hashtbl.create 4096;
-      host_decode = Array.make (Soc.code_cache_size / 4) undecoded;
+      host_decode = Array.make (Soc.code_cache_size / 4) Exec.undecoded;
       block_start = Array.make (Soc.code_cache_size / 4) false;
       cur_pc = 0; pc_overridden = false;
       chain = true; block_limit = Translator.default_block_limit;
@@ -398,7 +396,9 @@ and write_host t addr (i : inst) =
      (impossible for encode_exn output, but kept equivalent to the lazy
      seed path) is left for decode_host to report at execution time *)
   t.host_decode.((addr - Soc.code_cache_base) asr 2) <-
-    (match V7m.decode w with i -> i | exception _ -> undecoded)
+    (match V7m.decode w with
+    | i -> Exec.decoded i
+    | exception _ -> Exec.undecoded)
 
 (* Install a translation under guest [gpc] — a block, or a formed trace
    under its head: charge the simulated translation cost, emit it at the
@@ -570,7 +570,8 @@ and sb_mark_fusions t lo hi =
     let fusable =
       let a = Array.unsafe_get t.host_decode !k in
       let b = Array.unsafe_get t.host_decode (!k + 1) in
-      a != undecoded && b != undecoded && sb_pair_fusable a b
+      a != Exec.undecoded && b != Exec.undecoded
+      && sb_pair_fusable a.Exec.inst b.Exec.inst
     in
     if fusable then begin
       Array.unsafe_set t.fuse_next !k true;
@@ -594,7 +595,7 @@ and flush_cache t =
   Hashtbl.reset t.block_size;
   Hashtbl.reset t.block_succ;
   Hashtbl.reset t.formed;
-  Array.fill t.host_decode 0 (Array.length t.host_decode) undecoded;
+  Array.fill t.host_decode 0 (Array.length t.host_decode) Exec.undecoded;
   Array.fill t.block_start 0 (Array.length t.block_start) false;
   Array.fill t.block_exec 0 (Array.length t.block_exec) 0;
   Array.fill t.fuse_next 0 (Array.length t.fuse_next) false;
@@ -776,14 +777,14 @@ and dispatch t cpu _code =
     | Translator.S_call { target; ret_guest = _ } ->
       let h = translate_block t target in
       let off = h - site_addr in
-      let cond = (decode_host t site_addr).cond in
+      let cond = (decode_host t site_addr).Exec.inst.cond in
       if t.chain && Result.is_ok (V7m.encode (at ~cond (Bl off))) then
         patch t site_addr (at ~cond (Bl off));
       cpu.Exec.r.(lr) <- site_addr + 4;
       goto_block t cpu h
     | Translator.S_jump { target } ->
       let h = translate_block t target in
-      let cond = (decode_host t site_addr).cond in
+      let cond = (decode_host t site_addr).Exec.inst.cond in
       let off = h - site_addr in
       if t.chain && Result.is_ok (V7m.encode (at ~cond (B off))) then
         patch t site_addr (at ~cond (B off));
@@ -825,16 +826,17 @@ and dispatch t cpu _code =
 
 and decode_host t addr =
   let cached = t.host_decode.((addr - Soc.code_cache_base) asr 2) in
-  if cached != undecoded then cached
+  if cached != Exec.undecoded then cached
   else begin
     let w = Mem.ram_read32 t.soc.Soc.mem addr in
-    let i =
-      try V7m.decode w
-      with V7m.Decode_error _ | Invalid_argument _ ->
+    let d =
+      match V7m.decode w with
+      | i -> Exec.decoded i
+      | exception (V7m.Decode_error _ | Invalid_argument _) ->
         raise (Host_error (Printf.sprintf "bad host fetch at 0x%x (0x%x)" addr w))
     in
-    t.host_decode.((addr - Soc.code_cache_base) asr 2) <- i;
-    i
+    t.host_decode.((addr - Soc.code_cache_base) asr 2) <- d;
+    d
   end
 
 (* -------------------- guest-state accessors ------------------------- *)
@@ -902,7 +904,13 @@ let set_smc_map t ranges =
    - The boundary work lives out of line in {!block_boundary}, and the
      per-instruction retire accounting ([Core.retire] and its
      [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body allocation-free and register-tight.
+     body register-tight. The body itself allocates nothing, but a
+     retired instruction is not allocation-free: every data-cache hit
+     goes through [Core.charge_stall] to [Clock.run_due], whose local
+     recursive closure accounts for nearly all of the ~2.3 minor words
+     allocated per simulated instruction.
+   - Each instruction runs as its pre-decoded slot's compiled closure
+     ({!Exec.compile}), with its operands resolved at decode time.
    - A host word marked in [fuse_next] (superblock tier) makes the next
      iteration a fused slot: the partner issues with its predecessor,
      keeping its instruction count and its cache traffic but not its
@@ -964,9 +972,9 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
       end
     end;
     let pcv = !cur and idx = !cur_idx in
-    let i =
+    let d =
       let c = Array.unsafe_get t.host_decode idx in
-      if c != undecoded then c else decode_host t pcv
+      if c != Exec.undecoded then c else decode_host t pcv
     in
     t.cur_pc <- pcv;
     t.pc_overridden <- false;
@@ -1025,7 +1033,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
     if traced then
       Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
         Tk_stats.Trace.ev_retire pcv 0;
-    match Exec.step cpu env ~addr:pcv i with
+    match d.Exec.run cpu env pcv with
     | Exec.Next ->
       if t.pc_overridden then probe := true
       else begin

@@ -3,7 +3,8 @@
     Owns the code cache (a region of shared DRAM), the guest->host block
     map, the site table, direct-branch patching ("chaining"), and the
     host execution loop — a V7M interpreter charged against the M3 core
-    model, fetching emitted words through the M3's cache.
+    model, fetching emitted words through the M3's cache and running
+    each as the closure {!Exec.compile} built when it was emitted.
 
     The engine is policy-free: ARK supplies {!callbacks} for emulated
     services, hooks, guest hypercalls, interrupt windows and fallback.
@@ -41,10 +42,6 @@ exception Quantum
     cpu resumes exactly where it stopped. Never raised while
     [deadline_ns = max_int] (the default). *)
 
-val undecoded : Types.inst
-(** distinguished not-yet-decoded marker filling empty [host_decode]
-    slots; compared by physical equality, never executed *)
-
 type t = {
   soc : Soc.t;
   mode : Translator.mode;
@@ -58,11 +55,12 @@ type t = {
   host_points : (int, int) Hashtbl.t;
       (** host addr -> guest addr for every point that can appear in a
           saved context or on the stack — fallback's rewrite map (§5.3) *)
-  host_decode : Types.inst array;
+  host_decode : Exec.decoded array;
       (** dense pre-decoded code cache, indexed by
-          [(addr - Soc.code_cache_base) / 4]; populated at emission and
-          patch time, read by the hot loop as one array load; empty
-          slots hold the physically distinguished {!undecoded} sentinel *)
+          [(addr - Soc.code_cache_base) / 4]: each slot holds the host
+          instruction and its {!Exec.compile}d closure, which the hot
+          loop runs; populated at emission and patch time; empty slots
+          hold the physically distinguished {!Exec.undecoded} sentinel *)
   block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
           probed after every control transfer for the IRQ window *)

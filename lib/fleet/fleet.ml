@@ -291,11 +291,11 @@ let page_restored interp (engine : Engine.t) cover_flushes ~ram_base page
   let hi = lo + Mem.page_size in
   let dlo = max lo Soc.kernel_base and dhi = min hi Soc.page_pool_base in
   if dlo < dhi then begin
-    let d = interp.Interp.decode in
     let i0 = (dlo - Soc.kernel_base) asr 2 in
-    let i1 = min (((dhi - Soc.kernel_base) asr 2) - 1) (Array.length d - 1) in
-    for k = i0 to i1 do
-      Array.unsafe_set d k None
+    let i1 = ((dhi - Soc.kernel_base) asr 2) - 1 in
+    let d = interp.Interp.decode in
+    for k = i0 to min i1 (Array.length d - 1) do
+      Array.unsafe_set d k Exec.undecoded
     done;
     let cover = engine.Engine.guest_cover in
     let mem = interp.Interp.soc.Soc.mem in

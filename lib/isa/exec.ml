@@ -322,3 +322,153 @@ let step cpu env ~addr ({ cond; op } as inst) : outcome =
     | Udf _ -> env.undef cpu inst);
     if cpu.branched then Branched else Next
   end
+
+(** An instruction compiled for repeated execution: [code cpu env addr]
+    has exactly the effects and result of [step cpu env ~addr inst]. *)
+type code = cpu -> env -> int -> outcome
+
+(** [compile inst] resolves [inst]'s operands once and returns a closure
+    that executes it. The shapes that make up most of what the kernel
+    and its translations execute get a specialised closure with
+    registers, immediate, shift, size, index mode and condition fixed.
+    Every other shape runs {!step}, which stays the reference semantics;
+    so does a hot shape with a pc operand, an S bit ([cmp] aside, which
+    always sets flags) or, branches aside, a condition other than AL. *)
+let compile ({ cond; op } as inst) : code =
+  (* The specialised bodies repeat [step]'s arithmetic for their shape,
+     masking and bit tests written inline: with cross-module inlining
+     off, a [Bits] call per operation costs more than the operation.
+     Register values are taken raw, as [rget] takes them, so results
+     and flags match [step] bit for bit. *)
+  let m = 0xFFFFFFFF in
+  let via_step : code = fun cpu env addr -> step cpu env ~addr inst in
+  match op with
+  | B off ->
+    if cond = AL then fun cpu _ addr ->
+      Array.unsafe_set cpu.r pc ((addr + off) land 0xFFFFFFFE);
+      Branched
+    else fun cpu _ addr ->
+      if cond_holds cpu cond then begin
+        Array.unsafe_set cpu.r pc ((addr + off) land 0xFFFFFFFE);
+        Branched
+      end
+      else Next
+  | Mem { ld; size; rt; rn; off; idx }
+    when cond = AL && rt <> pc && rn <> pc -> (
+    let nb = bytes_of_mem_size size in
+    let vmask = (1 lsl (nb * 8)) - 1 in
+    match ld, off, idx with
+    | true, Oimm o, Offset -> fun cpu env _ ->
+      let r = cpu.r in
+      Array.unsafe_set r rt
+        (env.load ((Array.unsafe_get r rn + o) land m) nb land m);
+      Next
+    | false, Oimm o, Offset -> fun cpu env _ ->
+      let r = cpu.r in
+      env.store ((Array.unsafe_get r rn + o) land m) nb
+        (Array.unsafe_get r rt land vmask);
+      Next
+    | false, Oimm o, Post -> fun cpu env _ ->
+      let r = cpu.r in
+      let base = Array.unsafe_get r rn in
+      env.store base nb (Array.unsafe_get r rt land vmask);
+      Array.unsafe_set r rn ((base + o) land m);
+      Next
+    | true, Oreg (rm, LSL, a), Offset when rm <> pc && a < 32 ->
+      fun cpu env _ ->
+      let r = cpu.r in
+      let offv = (Array.unsafe_get r rm lsl a) land m in
+      Array.unsafe_set r rt
+        (env.load ((Array.unsafe_get r rn + offv) land m) nb land m);
+      Next
+    | false, Oreg (rm, LSL, a), Offset when rm <> pc && a < 32 ->
+      fun cpu env _ ->
+      let r = cpu.r in
+      let offv = (Array.unsafe_get r rm lsl a) land m in
+      env.store ((Array.unsafe_get r rn + offv) land m) nb
+        (Array.unsafe_get r rt land vmask);
+      Next
+    | _ -> via_step)
+  | Dp (o, s, rd, rn, op2)
+    when cond = AL && rd <> pc && rn <> pc && (o = CMP || not s) -> (
+    match o, op2 with
+    | MOV, Imm v ->
+      let v = v land m in
+      fun cpu _ _ -> Array.unsafe_set cpu.r rd v; Next
+    | ADD, Imm v ->
+      let v = v land m in
+      fun cpu _ _ ->
+        let r = cpu.r in
+        Array.unsafe_set r rd ((Array.unsafe_get r rn + v) land m);
+        Next
+    | SUB, Imm v ->
+      let nv = lnot (v land m) land m in
+      fun cpu _ _ ->
+        let r = cpu.r in
+        Array.unsafe_set r rd ((Array.unsafe_get r rn + nv + 1) land m);
+        Next
+    | AND, Imm v ->
+      let v = v land m in
+      fun cpu _ _ ->
+        let r = cpu.r in
+        Array.unsafe_set r rd (Array.unsafe_get r rn land v);
+        Next
+    | ADD, Reg rm when rm <> pc -> fun cpu _ _ ->
+      let r = cpu.r in
+      Array.unsafe_set r rd
+        ((Array.unsafe_get r rn + Array.unsafe_get r rm) land m);
+      Next
+    | EOR, Sreg (rm, LSR, a) when rm <> pc && a < 32 -> fun cpu _ _ ->
+      let r = cpu.r in
+      Array.unsafe_set r rd
+        ((Array.unsafe_get r rn lxor ((Array.unsafe_get r rm land m) lsr a))
+        land m);
+      Next
+    | CMP, Imm v ->
+      let nv = lnot (v land m) land m in
+      let sb = nv lsr 31 = 1 in
+      fun cpu _ _ ->
+        let rnv = Array.unsafe_get cpu.r rn in
+        let full = rnv + nv + 1 in
+        let res = full land m in
+        let sa = (rnv lsr 31) land 1 = 1 and sr = res lsr 31 = 1 in
+        cpu.n <- sr;
+        cpu.z <- res = 0;
+        cpu.c <- full > m;
+        cpu.v <- sa = sb && sa <> sr;
+        Next
+    | CMP, Reg rm when rm <> pc -> fun cpu _ _ ->
+      let r = cpu.r in
+      let rnv = Array.unsafe_get r rn in
+      let nv = lnot (Array.unsafe_get r rm) land m in
+      let full = rnv + nv + 1 in
+      let res = full land m in
+      let sa = (rnv lsr 31) land 1 = 1 and sb = nv lsr 31 = 1
+      and sr = res lsr 31 = 1 in
+      cpu.n <- sr;
+      cpu.z <- res = 0;
+      cpu.c <- full > m;
+      cpu.v <- sa = sb && sa <> sr;
+      Next
+    | _ -> via_step)
+  | Msr rs when cond = AL && rs <> pc -> fun cpu _ _ ->
+    let w = Array.unsafe_get cpu.r rs in
+    cpu.n <- (w lsr 31) land 1 = 1;
+    cpu.z <- (w lsr 30) land 1 = 1;
+    cpu.c <- (w lsr 29) land 1 = 1;
+    cpu.v <- (w lsr 28) land 1 = 1;
+    Next
+  | Mrs rd when cond = AL && rd <> pc -> fun cpu _ _ ->
+    Array.unsafe_set cpu.r rd (flags_word cpu);
+    Next
+  | _ -> via_step
+
+(** A pre-decode slot: the instruction and its compiled form. *)
+type decoded = { inst : inst; run : code }
+
+let decoded inst = { inst; run = compile inst }
+
+(** The one empty-slot marker of the pre-decode arrays, compared by
+    physical equality ([==]); the loops decode a slot holding it instead
+    of running it. *)
+let undecoded = decoded { cond = AL; op = Udf (-1) }

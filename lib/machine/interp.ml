@@ -8,13 +8,16 @@
     instructions.
 
     Decode memoization is a {e dense pre-decoded array} over the guest
-    kernel image span ([Soc.kernel_base ..) — fetch-decode is one array
-    load, and the self-modifying-store invalidation is an O(1) array
-    write (covering {e both} words touched by a store that straddles a
-    word boundary). Fetches outside the image span (none in practice)
-    fall back to a hashtable. All of this is host-side speed only: the
-    simulated cycle/traffic counters are bit-identical to the lazy
-    hashtable scheme (pinned by test/test_neutrality.ml).
+    kernel image span ([Soc.kernel_base ..), grown on fetch to cover the
+    highest word executed: each slot holds the instruction and its
+    {!Exec.compile}d closure, so fetch-decode is one array load and
+    execution one closure call, and the self-modifying-store
+    invalidation is an O(1) array write (covering {e both} words touched
+    by a store that straddles a word boundary). Fetches outside the
+    image span (none in practice) fall back to a hashtable. All of this
+    is host-side speed only: the simulated cycle/traffic counters are
+    bit-identical to the lazy hashtable scheme (pinned by
+    test/test_neutrality.ml).
 
     Guest [SVC] is used as a simulation hypercall (halt / platform-off /
     console), dispatched to the embedding runner through [on_svc]. *)
@@ -26,7 +29,9 @@ exception Halt of string  (** raised by hypercalls to end a run *)
 exception Fault of string  (** simulation bug: deadlock, bad fetch, ... *)
 
 (* The dense decode array covers where kernel code lives: the image
-   region below the page pool. *)
+   region below the page pool. It starts empty and grows to the highest
+   word fetched, so a platform holds slots for the few thousand words of
+   code it runs, not for all 2M words of the span. *)
 let dense_base = Soc.kernel_base
 let dense_top = Soc.page_pool_base
 let dense_words = (dense_top - dense_base) / 4
@@ -36,8 +41,10 @@ type t = {
   core : Core.t;
   tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
   cpu : Exec.cpu;
-  decode : Types.inst option array;  (** dense, indexed by image word *)
-  decode_cache : (int, Types.inst) Hashtbl.t;  (** out-of-span fallback *)
+  mutable decode : Exec.decoded array;
+      (** dense, indexed by image word, grown on fetch; empty slots hold
+          {!Exec.undecoded} *)
+  decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
   mutable env_traced : Exec.env;
       (** same environment with flight-recorder emission on memory
@@ -61,7 +68,7 @@ let create ~(soc : Soc.t) () =
   let tr = soc.trace in
   let t =
     { soc; core; tr; cpu = Exec.make_cpu ();
-      decode = Array.make dense_words None;
+      decode = [||];
       decode_cache = Hashtbl.create 64;
       env = dummy_env; env_traced = dummy_env; irq_vector = 0;
       irq_saved = [];
@@ -85,10 +92,17 @@ let create ~(soc : Soc.t) () =
   (* self-modifying code safety: drop any stale decode for a word the
      store touches. A store may straddle a word boundary (e.g. a 4-byte
      store at an unaligned address), so both affected words are
-     invalidated. *)
+     invalidated. A span word past the dense array was never fetched.
+     Out of the span, the fallback table is empty in practice, so the
+     stack and heap stores skip hashing into it. *)
   let invalidate_word w =
-    if in_dense w then Array.unsafe_set t.decode ((w - dense_base) asr 2) None
-    else Hashtbl.remove t.decode_cache w
+    if in_dense w then begin
+      let idx = (w - dense_base) asr 2 in
+      if idx < Array.length t.decode then
+        Array.unsafe_set t.decode idx Exec.undecoded
+    end
+    else if Hashtbl.length t.decode_cache > 0 then
+      Hashtbl.remove t.decode_cache w
   in
   let store addr nbytes v =
     if Mem.in_ram mem addr then begin
@@ -126,12 +140,16 @@ let create ~(soc : Soc.t) () =
   let invalidate_word_traced w =
     if in_dense w then begin
       let idx = (w - dense_base) asr 2 in
-      if Array.unsafe_get t.decode idx <> None then
+      if
+        idx < Array.length t.decode
+        && Array.unsafe_get t.decode idx != Exec.undecoded
+      then begin
         Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
           Tk_stats.Trace.ev_invalidate w 0;
-      Array.unsafe_set t.decode idx None
+        Array.unsafe_set t.decode idx Exec.undecoded
+      end
     end
-    else begin
+    else if Hashtbl.length t.decode_cache > 0 then begin
       if Hashtbl.mem t.decode_cache w then
         Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
           Tk_stats.Trace.ev_invalidate w 0;
@@ -185,27 +203,43 @@ let set_pc t addr = t.cpu.Exec.r.(Types.pc) <- addr
 
 let decode_word t addr =
   let w = Mem.ram_read32 t.soc.mem addr in
-  try V7a.decode w
-  with V7a.Decode_error _ | Invalid_argument _ ->
+  match V7a.decode w with
+  | i -> Exec.decoded i
+  | exception (V7a.Decode_error _ | Invalid_argument _) ->
     raise (Fault (Printf.sprintf "bad fetch at 0x%x (word 0x%x)" addr w))
 
-let fetch_decode t addr =
-  if in_dense addr && addr land 3 = 0 then begin
-    let idx = (addr - dense_base) asr 2 in
-    match Array.unsafe_get t.decode idx with
-    | Some i -> i
-    | None ->
-      let i = decode_word t addr in
-      Array.unsafe_set t.decode idx (Some i);
-      i
+(* grow the dense array to cover word [idx], at least doubling it *)
+let grow t idx =
+  let old = t.decode in
+  let n = min dense_words (max (idx + 1024) (2 * Array.length old)) in
+  let a = Array.make n Exec.undecoded in
+  Array.blit old 0 a 0 (Array.length old);
+  t.decode <- a
+
+(* the common case, an aligned fetch inside the grown array, costs two
+   bounds compares; a span word past the array grows it first *)
+let rec fetch_decode t addr =
+  let idx = (addr - dense_base) asr 2 in
+  if idx >= 0 && idx < Array.length t.decode && addr land 3 = 0 then begin
+    let d = Array.unsafe_get t.decode idx in
+    if d != Exec.undecoded then d
+    else begin
+      let d = decode_word t addr in
+      Array.unsafe_set t.decode idx d;
+      d
+    end
+  end
+  else if in_dense addr && addr land 3 = 0 then begin
+    grow t idx;
+    fetch_decode t addr
   end
   else
     match Hashtbl.find_opt t.decode_cache addr with
-    | Some i -> i
+    | Some d -> d
     | None ->
-      let i = decode_word t addr in
-      Hashtbl.add t.decode_cache addr i;
-      i
+      let d = decode_word t addr in
+      Hashtbl.add t.decode_cache addr d;
+      d
 
 let deliver_irq t =
   let cpu = t.cpu in
@@ -224,13 +258,13 @@ let step_env t traced env =
   let addr = Array.unsafe_get cpu.Exec.r Types.pc in
   if not (Mem.in_ram t.soc.mem addr) then
     raise (Fault (Printf.sprintf "PC outside RAM: 0x%x" addr));
-  let i = fetch_decode t addr in
-  (match t.trace with Some f -> f addr i | None -> ());
+  let d = fetch_decode t addr in
+  (match t.trace with Some f -> f addr d.Exec.inst | None -> ());
   Core.retire t.core addr;
   if traced then
     Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_cpu
       Tk_stats.Trace.ev_retire addr 0;
-  match Exec.step cpu env ~addr i with
+  match d.Exec.run cpu env addr with
   | Exec.Next -> Array.unsafe_set cpu.Exec.r Types.pc (addr + 4)
   | Exec.Branched -> ()
 

@@ -3,10 +3,12 @@
     This is the paper's "native execution" arm: the monolithic kernel
     running device suspend/resume on the Cortex-A9. The loop fetches
     encoded words from DRAM (through the A9's cache model), decodes them
-    (memoized in a dense pre-decoded array), executes via {!Tk_isa.Exec}
-    and charges cycles; pending GIC interrupts vector to the kernel's
-    IRQ entry stub between instructions. Self-modifying stores
-    invalidate the pre-decoded entries they touch.
+    once into a dense pre-decoded array of {!Tk_isa.Exec.decoded} slots
+    (the instruction and its {!Tk_isa.Exec.compile}d closure), executes
+    each slot's closure and charges cycles; pending GIC interrupts
+    vector to the kernel's IRQ entry stub between instructions.
+    Self-modifying stores invalidate the pre-decoded slots they touch,
+    so the next fetch decodes and compiles the new word.
 
     Guest [SVC] is used as a simulation hypercall (halt / platform-off /
     console), dispatched to the embedding runner through [on_svc]. *)
@@ -22,8 +24,11 @@ type t = {
   core : Core.t;
   tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
   cpu : Exec.cpu;
-  decode : Types.inst option array;  (** dense, indexed by image word *)
-  decode_cache : (int, Types.inst) Hashtbl.t;  (** out-of-span fallback *)
+  mutable decode : Exec.decoded array;
+      (** dense, indexed by image word from [Soc.kernel_base] and grown
+          on fetch to the highest word executed; empty slots hold
+          {!Exec.undecoded} *)
+  decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
   mutable env_traced : Exec.env;
       (** same environment with flight-recorder emission on memory

@@ -15,6 +15,13 @@
      interpreters fetch from arbitrary guest memory without host-side
      exceptions leaking simulation state.
 
+   A third property holds the executor to itself: the closure
+   [Exec.compile] builds for an instruction must do exactly what
+   [Exec.step] does — same registers, flags, IRQ enable, outcome and
+   sequence of environment calls — on random instructions of both ISAs
+   and on every specialised shape forced through each condition, both
+   S values and pc in each register slot.
+
    Iteration counts scale with TK_FUZZ_SCALE (CI keeps it at 1; crank
    it locally for a deeper soak). Failures print the generator seed and
    iteration index, which reproduce the case exactly. *)
@@ -251,6 +258,135 @@ let total_edges () =
   check "v7m" V7m.decode V7m.decode_total ((3 lsl 25) lor (12 lsl 20));
   check "v7m" V7m.decode V7m.decode_total ((3 lsl 25) lor (13 lsl 20))
 
+(* ----------------------- compiled = step ----------------------------- *)
+
+(* Every effect an instruction has beyond registers, flags and IRQ
+   enable goes through its environment; this one logs each call in
+   order. Loads read a fixed function of (address, size), so two runs
+   from one state see the same memory. *)
+type call =
+  | Load of int * int
+  | Store of int * int * int
+  | Svc_call of int
+  | Wfi_call
+  | Irq_ret_call
+  | Undef_call of inst
+
+let recording_env () =
+  let log = ref [] in
+  let push c = log := c :: !log in
+  let env =
+    { Exec.load =
+        (fun a nb ->
+          push (Load (a, nb));
+          ((a * 0x9E3779B1) lxor (a lsr 7)) land ((1 lsl (8 * nb)) - 1));
+      store = (fun a nb v -> push (Store (a, nb, v)));
+      svc = (fun _ n -> push (Svc_call n));
+      wfi = (fun _ -> push Wfi_call);
+      irq_ret = (fun _ -> push Irq_ret_call);
+      undef = (fun _ i -> push (Undef_call i)) }
+  in
+  env, log
+
+(* register values biased toward the carry/overflow edges *)
+let reg_value st =
+  match rnd st 8 with
+  | 0 -> 0
+  | 1 -> 0xFFFFFFFF
+  | 2 -> 0x7FFFFFFF
+  | 3 -> 0x80000000
+  | 4 -> rnd st 256
+  | _ -> word32 st
+
+(* run [inst] both ways from one random state; [None] if they agree *)
+let compiled_vs_step st inst =
+  let addr = word32 st land lnot 3 in
+  let a = Exec.make_cpu () in
+  Array.iteri (fun i _ -> a.Exec.r.(i) <- reg_value st) a.Exec.r;
+  a.Exec.r.(pc) <- addr;
+  a.Exec.n <- flip st; a.Exec.z <- flip st; a.Exec.c <- flip st;
+  a.Exec.v <- flip st; a.Exec.irq_on <- flip st;
+  let b = Exec.make_cpu () in
+  Exec.copy_into a b;
+  let env_a, log_a = recording_env () and env_b, log_b = recording_env () in
+  let out_a = Exec.step a env_a ~addr inst in
+  let out_b = (Exec.decoded inst).Exec.run b env_b addr in
+  let differs what x y = if x <> y then Some what else None in
+  List.find_map Fun.id
+    [ differs "outcome" out_a out_b;
+      List.find_map
+        (fun i ->
+          differs (Printf.sprintf "r%d" i) a.Exec.r.(i) b.Exec.r.(i))
+        (List.init 16 Fun.id);
+      differs "flags" (Exec.flags_word a) (Exec.flags_word b);
+      differs "irq_on" a.Exec.irq_on b.Exec.irq_on;
+      differs "env calls" !log_a !log_b ]
+  |> Option.map (fun what -> Printf.sprintf "0x%x: %s" addr what)
+
+let check_compiled label seed i st inst =
+  match compiled_vs_step st inst with
+  | None -> ()
+  | Some why ->
+    Alcotest.failf "%s #%d (seed 0x%x): compiled %s disagrees with step at %s"
+      label i seed (to_string inst) why
+
+let compiled_random name gen iters () =
+  let seed = base_seed + 11 in
+  let st = Random.State.make [| seed |] in
+  for i = 1 to iters do
+    check_compiled name seed i st (gen st)
+  done
+
+(* The shapes [Exec.compile] specialises, as functions of the S bit and
+   their register slots (rd/rt first). Operand values other than
+   registers are drawn per case. *)
+let specialised_shapes : (string * int * (Random.State.t -> bool -> reg array -> op)) list =
+  let mem ld idx st regs off =
+    Mem { ld; size = msize st; rt = regs.(0); rn = regs.(1); off; idx }
+  in
+  let dp o op2 s regs = Dp (o, s, regs.(0), regs.(1), op2 regs) in
+  let imm st _ = Imm (reg_value st) in
+  [ ("ldr #imm", 2, fun st _ r -> mem true Offset st r (Oimm (rnd st 4095 - 2047)));
+    ("str #imm", 2, fun st _ r -> mem false Offset st r (Oimm (rnd st 4095 - 2047)));
+    ("str #imm post", 2, fun st _ r -> mem false Post st r (Oimm (rnd st 511 - 255)));
+    ("ldr reg lsl", 3, fun st _ r -> mem true Offset st r (Oreg (r.(2), LSL, rnd st 32)));
+    ("str reg lsl", 3, fun st _ r -> mem false Offset st r (Oreg (r.(2), LSL, rnd st 32)));
+    ("mov #imm", 2, fun st -> dp MOV (imm st));
+    ("add #imm", 2, fun st -> dp ADD (imm st));
+    ("sub #imm", 2, fun st -> dp SUB (imm st));
+    ("and #imm", 2, fun st -> dp AND (imm st));
+    ("cmp #imm", 2, fun st -> dp CMP (imm st));
+    ("add reg", 3, fun _ -> dp ADD (fun r -> Reg r.(2)));
+    ("cmp reg", 3, fun _ -> dp CMP (fun r -> Reg r.(2)));
+    ("eor reg lsr", 3, fun st -> dp EOR (fun r -> Sreg (r.(2), LSR, rnd st 32)));
+    ("msr", 1, fun _ _ r -> Msr r.(0));
+    ("mrs", 1, fun _ _ r -> Mrs r.(0));
+    ("b", 0, fun st _ _ -> B (branch_off st)) ]
+
+let compiled_shapes () =
+  let seed = base_seed + 13 in
+  let st = Random.State.make [| seed |] in
+  let i = ref 0 in
+  List.iter
+    (fun (name, slots, shape) ->
+      for c = 0 to 14 do
+        List.iter
+          (fun s ->
+            (* [pc_slot = slots]: no pc operand *)
+            for pc_slot = 0 to slots do
+              for _ = 1 to 4 * scale do
+                incr i;
+                let regs =
+                  Array.init slots (fun k -> if k = pc_slot then pc else rnd st 15)
+                in
+                let inst = { cond = cond_of_int c; op = shape st s regs } in
+                check_compiled name seed !i st inst
+              done
+            done)
+          [ false; true ]
+      done)
+    specialised_shapes
+
 let n = 10_000 * scale
 
 let () =
@@ -267,4 +403,11 @@ let () =
           Alcotest.test_case "v7m decode_total never raises" `Quick
             (totality "v7m" V7m.decode_total n);
           Alcotest.test_case "malformed words become Udf" `Quick total_edges
-        ] ) ]
+        ] );
+      ( "compiled = step",
+        [ Alcotest.test_case "random v7a instructions" `Quick
+            (compiled_random "v7a" gen_v7a n);
+          Alcotest.test_case "random v7m instructions" `Quick
+            (compiled_random "v7m" gen_v7m n);
+          Alcotest.test_case "specialised shapes x cond x S x pc slot" `Quick
+            compiled_shapes ] ) ]

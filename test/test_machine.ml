@@ -173,6 +173,74 @@ let test_device_glitch () =
   checki "wedged: busy forever, no done" 2 (Mem.read soc.Soc.mem base 4);
   checki "glitch consumed" 1 d.Tk_drivers.Device.glitches_hit
 
+(* ------------------ interpreter self-modifying code ------------------ *)
+
+(* A loop whose first pass stores new encodings over two words it has
+   already executed, [.p0] and [.p1]; the second pass must run the new
+   words. The aligned case rewrites [.p0] whole. The straddling case is
+   one 4-byte store at [.p0 + 2]: its low half lands in the upper half
+   of [.p0] and its high half in the lower half of [.p1], so both
+   pre-decoded slots must be dropped. Old and new words are picked to
+   share the untouched halves. *)
+let smc_image ~straddle =
+  let open Tk_isa in
+  let open Tk_isa.Types in
+  let enc i = V7a.encode_exn (at i) in
+  let p0 = Dp (ADD, false, 0, 0, Imm 1) and n0 = Dp (ADD, false, 4, 0, Imm 1) in
+  let p1 = Dp (ADD, false, 5, 5, Imm 1) and n1 = Dp (ADD, false, 5, 5, Imm 7) in
+  checki "new .p0 keeps the old low half" (enc p0 land 0xFFFF)
+    (enc n0 land 0xFFFF);
+  checki "new .p1 keeps the old high half" (enc p1 lsr 16) (enc n1 lsr 16);
+  let value, off =
+    if straddle then ((enc n0 lsr 16) lor ((enc n1 land 0xFFFF) lsl 16), 2)
+    else (enc n0, 0)
+  in
+  let items =
+    [ Asm.Ins (at (Movw (1, 2))); Asm.Label ".top"; Asm.Ins (at p0);
+      Asm.Ins (at p1); Asm.Ins (at (Movw (2, value land 0xFFFF)));
+      Asm.Ins (at (Movt (2, value lsr 16))); Asm.Adr (3, ".top");
+      Asm.Ins
+        (at (Mem { ld = false; size = Word; rt = 2; rn = 3; off = Oimm off;
+                   idx = Offset }));
+      Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
+      Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
+      Asm.Bcc (NE, ".top");
+      Asm.Ins (at (Bx lr)) ]
+  in
+  Asm.link ~base:Soc.kernel_base [ { Asm.name = "smcfn"; items } ] []
+
+let test_interp_smc ~straddle ~traced () =
+  let open Tk_isa in
+  let image = smc_image ~straddle in
+  let soc = Soc.create () in
+  Mem.load_image soc.Soc.mem image;
+  let interp = Interp.create ~soc () in
+  if traced then Tk_stats.Trace.enable soc.Soc.trace;
+  let stop = ref false in
+  interp.Interp.on_svc <- (fun _ _ _ -> stop := true);
+  let stub = Soc.kernel_base + (4 * Array.length image.Asm.words) + 64 in
+  Mem.ram_write soc.Soc.mem stub 4 (V7a.encode_exn (Types.at (Types.Svc 0)));
+  let r = interp.Interp.cpu.Exec.r in
+  r.(Types.lr) <- stub;
+  Interp.set_pc interp (Asm.symbol image "smcfn");
+  let steps = ref 0 in
+  while not !stop do
+    incr steps;
+    if !steps > 100 then Alcotest.fail "runaway";
+    Interp.step interp
+  done;
+  checki "second pass ran the new .p0 (r4 = r0 + 1)" 2 r.(4);
+  checki "stale .p0 did not run again" 1 r.(0);
+  checki "r5: new .p1 only when the store straddled" (if straddle then 8 else 2)
+    r.(5);
+  if traced then begin
+    (* each pass drops every rewritten word while it holds a decode *)
+    let dropped = ref 0 in
+    Tk_stats.Trace.iter soc.Soc.trace (fun ~time:_ ~core:_ ~kind ~a:_ ~b:_ ->
+        if kind = Tk_stats.Trace.ev_invalidate then incr dropped);
+    checki "traced invalidations" (if straddle then 4 else 2) !dropped
+  end
+
 (* property: events always fire in nondecreasing time order *)
 let prop_clock_order =
   QCheck.Test.make ~count:200 ~name:"clock fires in time order"
@@ -218,6 +286,15 @@ let () =
         [ Alcotest.test_case "ram and faults" `Quick test_mem_bounds;
           Alcotest.test_case "dma traffic" `Quick test_dma_counters ] );
       ( "timers", [ Alcotest.test_case "periodic tick" `Quick test_timer_tick ] );
+      ( "interp smc",
+        [ Alcotest.test_case "aligned store" `Quick
+            (test_interp_smc ~straddle:false ~traced:false);
+          Alcotest.test_case "straddling store" `Quick
+            (test_interp_smc ~straddle:true ~traced:false);
+          Alcotest.test_case "aligned store, traced" `Quick
+            (test_interp_smc ~straddle:false ~traced:true);
+          Alcotest.test_case "straddling store, traced" `Quick
+            (test_interp_smc ~straddle:true ~traced:true) ] );
       ( "cores",
         [ Alcotest.test_case "busy/idle accounting" `Quick
             test_core_accounting;
