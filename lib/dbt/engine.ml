@@ -45,7 +45,7 @@ exception Quantum
 type t = {
   soc : Soc.t;
   mode : Translator.mode;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  rc : Tk_stats.Recorder.t;  (** the platform recorder, cached *)
   mutable classify_target : int -> Translator.target_class;
   cb : callbacks;
   (* code cache *)
@@ -79,10 +79,7 @@ type t = {
   mutable block_limit : int;  (** guest instructions per block *)
   mutable irq_dispatch : bool;  (** ARK spinlock emulation pauses this *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same host environment with flight-recorder emission on memory
-          accesses; the run loop selects it only while tracing is
-          enabled, keeping the disabled path free of trace branches *)
+      (** memory closures test the flight recorder's flag inline *)
   (* statistics *)
   mutable guest_translated : int;
   mutable host_emitted : int;
@@ -202,9 +199,9 @@ let dummy_env : Exec.env =
     undef = (fun _ _ -> ()) }
 
 let rec create ~(soc : Soc.t) ~mode () =
-  let tr = soc.Soc.trace in
+  let rc = soc.Soc.recorder in
   let t =
-    { soc; mode; tr; classify_target = (fun _ -> Translator.T_normal);
+    { soc; mode; rc; classify_target = (fun _ -> Translator.T_normal);
       cb = dummy_cb (); cursor = Soc.code_cache_base;
       block_map = Hashtbl.create 1024; block_starts = Hashtbl.create 1024;
       sites = Hashtbl.create 1024; host_points = Hashtbl.create 4096;
@@ -212,7 +209,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       block_start = Array.make (Soc.code_cache_size / 4) false;
       cur_pc = 0; pc_overridden = false;
       chain = true; block_limit = Translator.default_block_limit;
-      irq_dispatch = true; env = dummy_env; env_traced = dummy_env;
+      irq_dispatch = true; env = dummy_env;
       guest_translated = 0;
       host_emitted = 0; blocks = 0; engine_exits = 0; patches = 0;
       host_executed = 0; translate_cycles = 0; profile = false;
@@ -233,21 +230,28 @@ let rec create ~(soc : Soc.t) ~mode () =
   in
   let m3 = soc.Soc.m3 in
   let mem = soc.Soc.mem in
-  (* the untraced closures are the seed's hot path, byte for byte: the
-     run loop only hands [env_traced] to the executor while the flight
-     recorder is enabled, so tracing costs nothing when it is off *)
+  let sub = rc.Tk_stats.Recorder.sub in
+  let m3_ev kind a b =
+    Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3 kind a b
+  in
+  (* gic-private accesses surface as controller events, not reads *)
   let load addr nbytes =
     if Soc.is_cpu_private addr then begin
       charge t cost_gic_fault;
       t.cb.on_gic_access ~write:false addr 0
     end
     else if Mem.in_ram mem addr then begin
-      Core.charge_stall m3 (Cache.access m3.Core.cache ~write:false addr);
+      let stall = Cache.access m3.Core.cache ~write:false addr in
+      Core.charge_stall m3 stall;
+      if sub.Tk_stats.Substrate.tracing then
+        m3_ev Tk_stats.Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
+      if sub.Tk_stats.Substrate.tracing then
+        m3_ev Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
@@ -257,7 +261,10 @@ let rec create ~(soc : Soc.t) ~mode () =
       ignore (t.cb.on_gic_access ~write:true addr v)
     end
     else if Mem.in_ram mem addr then begin
-      Core.charge_stall m3 (Cache.access m3.Core.cache ~write:true addr);
+      let stall = Cache.access m3.Core.cache ~write:true addr in
+      Core.charge_stall m3 stall;
+      if sub.Tk_stats.Substrate.tracing then
+        m3_ev Tk_stats.Trace.ev_write addr stall;
       if nbytes = 4 then Mem.ram_write32 mem addr v
       else Mem.ram_write mem addr nbytes v;
       (* superblock store-invalidation probe: host-only (no simulated
@@ -274,52 +281,8 @@ let rec create ~(soc : Soc.t) ~mode () =
     end
     else begin
       Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Mem.write mem addr nbytes v
-    end
-  in
-  let load_traced addr nbytes =
-    if Soc.is_cpu_private addr then begin
-      (* gic-private accesses surface as controller events, not reads *)
-      charge t cost_gic_fault;
-      t.cb.on_gic_access ~write:false addr 0
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:false addr in
-      Core.charge_stall m3 stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
-  in
-  let store_traced addr nbytes v =
-    if Soc.is_cpu_private addr then begin
-      charge t cost_gic_fault;
-      ignore (t.cb.on_gic_access ~write:true addr v)
-    end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:true addr in
-      Core.charge_stall m3 stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_write addr stall;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v;
-      if
-        t.superblock
-        && addr + nbytes > Soc.kernel_base
-        && addr < Soc.page_pool_base
-      then sb_store_check t addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
+      if sub.Tk_stats.Substrate.tracing then
+        m3_ev Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -330,13 +293,12 @@ let rec create ~(soc : Soc.t) ~mode () =
     raise (Host_error ("host undef: " ^ Types.to_string i))
   in
   t.env <- { Exec.load; store; svc; wfi; irq_ret; undef };
-  t.env_traced <-
-    { Exec.load = load_traced; store = store_traced; svc; wfi; irq_ret;
-      undef };
   (* telemetry gauges: translation-cache occupancy and engine work.
-     add_gauge replaces by name, so a second engine on the same SoC
+     Registration replaces by name, so a second engine on the same SoC
      re-binds these columns instead of duplicating them. *)
-  let gauge = Tk_stats.Timeseries.add_gauge soc.Soc.sampler in
+  let gauge ?(readers = Tk_stats.Substrate.sampler_bit) =
+    Tk_stats.Substrate.gauge sub ~core:Tk_stats.Trace.core_m3 ~readers
+  in
   gauge "dbt_blocks" (fun () -> t.blocks);
   gauge "dbt_host_words" (fun () -> (t.cursor - Soc.code_cache_base) asr 2);
   gauge "dbt_patches" (fun () -> t.patches);
@@ -346,9 +308,9 @@ let rec create ~(soc : Soc.t) ~mode () =
      manifests must stay byte-identical) *)
   gauge "dbt_traces" (fun () -> t.traces_formed);
   gauge "dbt_fusions" (fun () -> t.fusions_applied);
-  (* span-tracer attribution gauges ride on Span, not the sampler: the
-     golden manifest digests pin the sampler's column set *)
-  Tk_stats.Span.add_gauge soc.Soc.spans "translate_cycles" (fun () ->
+  (* span-tracer attribution gauge, not a sampler column: the golden
+     manifest digests pin the sampler's column set *)
+  gauge ~readers:Tk_stats.Substrate.spans_bit "translate_cycles" (fun () ->
       t.translate_cycles);
   t
 
@@ -369,9 +331,8 @@ and sb_check_word t w =
   then begin
     t.pending_flush <- true;
     t.invalidations <- t.invalidations + 1;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_invalidate w 0
+    Tk_stats.Recorder.event t.rc ~core:Tk_stats.Trace.core_m3
+      Tk_stats.Trace.ev_invalidate w 0
   end
 
 and sb_store_check t addr nbytes =
@@ -478,12 +439,9 @@ and translate_block t gpc =
     in
     (* span: the translation burst covers the simulated translation
        charge; back-to-back misses coalesce into one burst span *)
-    let sp = t.soc.Soc.spans in
+    let core = Tk_stats.Trace.core_m3 and n = b.Translator.b_guest_count in
     let stok =
-      if sp.Tk_stats.Span.enabled then
-        Tk_stats.Span.enter_coalesced sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_dbt_translate b.Translator.b_guest_count
-      else 0
+      Tk_stats.Recorder.burst_open t.rc ~core Tk_stats.Span.sk_dbt_translate n
     in
     let h = install t gpc b in
     t.blocks <- t.blocks + 1;
@@ -494,10 +452,8 @@ and translate_block t gpc =
       if sb_span_clean t gpc b.Translator.b_guest_count then
         sb_mark_exempt t h t.cursor
     end;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_translate gpc b.Translator.b_guest_count;
-    if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok;
+    Tk_stats.Recorder.burst_close t.rc ~core
+      ~ev:(Tk_stats.Trace.ev_translate, gpc, n) stok;
     h
 
 (* --------------------- superblock bookkeeping ----------------------- *)
@@ -680,12 +636,9 @@ and sb_try_form t head =
     | exception Superblock.Abort _ -> ()
     | p ->
       (* forming re-derives every constituent's translation *)
-      let sp = t.soc.Soc.spans in
+      let core = Tk_stats.Trace.core_m3 and n = p.Superblock.p_guest_count in
       let stok =
-        if sp.Tk_stats.Span.enabled then
-          Tk_stats.Span.enter_coalesced sp ~core:Tk_stats.Trace.core_m3
-            Tk_stats.Span.sk_dbt_form p.Superblock.p_guest_count
-        else 0
+        Tk_stats.Recorder.burst_open t.rc ~core Tk_stats.Span.sk_dbt_form n
       in
       let old_h = Hashtbl.find t.block_map head in
       let h =
@@ -704,10 +657,8 @@ and sb_try_form t head =
          branch, so chained predecessors and saved resume points all
          land in the trace from now on *)
       patch t old_h (at (B (h - old_h)));
-      if t.tr.Tk_stats.Trace.enabled then
-        Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Trace.ev_form head p.Superblock.p_guest_count;
-      if sp.Tk_stats.Span.enabled then Tk_stats.Span.leave sp stok
+      Tk_stats.Recorder.burst_close t.rc ~core
+        ~ev:(Tk_stats.Trace.ev_form, head, n) stok
   end
 
 (* Block-boundary work for the run loop, out of line so the loop body
@@ -748,9 +699,8 @@ and patch t site_addr (i : inst) =
   Hashtbl.remove t.sites site_addr;
   t.patches <- t.patches + 1;
   charge t cost_patch;
-  if t.tr.Tk_stats.Trace.enabled then
-    Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_m3
-      Tk_stats.Trace.ev_chain site_addr 0
+  Tk_stats.Recorder.event t.rc ~core:Tk_stats.Trace.core_m3
+    Tk_stats.Trace.ev_chain site_addr 0
 
 and set_pc t (cpu : Exec.cpu) v =
   cpu.Exec.r.(pc) <- v;
@@ -930,15 +880,13 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
   let clock = m3.Core.clock in
   let cpi_num = m3.Core.p.Core.cpi_num in
   let cpi_den = m3.Core.p.Core.cpi_den in
-  let tr = t.tr in
-  (* tracing and sampling never toggle while translated code is
-     executing, so both decisions are hoisted: the disabled loop tests
-     only immutable register-resident bools and runs the untraced
-     environment *)
-  let traced = tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
+  let rc = t.rc in
+  (* recording never toggles while translated code is executing, so the
+     decision is hoisted: the disabled loop tests only an immutable
+     register-resident bool *)
+  let recording = Tk_stats.Recorder.recording rc in
+  let sub = rc.Tk_stats.Recorder.sub in
+  let env = t.env in
   let r = cpu.Exec.r in
   let n = ref 0 in
   let cur = ref 0 in
@@ -954,7 +902,8 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
       (* quantum check before the sampler tick so an unwound iteration
          leaves no trace: the resumed iteration re-runs from here *)
       if !probe && clock.Clock.now >= t.deadline_ns then raise Quantum;
-      if sampling then Tk_stats.Timeseries.tick ts;
+      if recording && sub.Tk_stats.Substrate.sampling then
+        Tk_stats.Recorder.tick rc;
       if !probe then begin
         let v = Array.unsafe_get r pc in
         if v = Layout.exit_magic then raise Context_exit;
@@ -1030,8 +979,8 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
     m3.Core.frac_ps <- ps - (q * 1000);
     clock.Clock.now <- clock.Clock.now + q;
     if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
-    if traced then
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_m3
+    if recording && sub.Tk_stats.Substrate.tracing then
+      Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3
         Tk_stats.Trace.ev_retire pcv 0;
     match d.Exec.run cpu env pcv with
     | Exec.Next ->
@@ -1060,27 +1009,21 @@ let run t cpu ~fuel =
      resume (zero simulated time passes across the cut, and nothing
      else records in between), so the span stream is the sequential
      one at every quantum. *)
-  let sp = t.soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then begin
-    let cut = t.span_cut in
-    t.span_cut <- -1;
-    let tok =
-      if cut >= 0 then
-        Tk_stats.Span.reopen sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_run ~slot:cut 0
-      else
-        Tk_stats.Span.enter sp ~core:Tk_stats.Trace.core_m3
-          Tk_stats.Span.sk_run 0
-    in
+  let core = Tk_stats.Trace.core_m3 in
+  let tok =
+    Tk_stats.Recorder.burst_open t.rc ~core ~slot:t.span_cut
+      Tk_stats.Span.sk_run 0
+  in
+  t.span_cut <- -1;
+  if tok < 0 then run_loop t cpu ~fuel
+  else
     Fun.protect
-      ~finally:(fun () -> Tk_stats.Span.leave sp tok)
+      ~finally:(fun () -> Tk_stats.Recorder.burst_close t.rc ~core tok)
       (fun () ->
         try run_loop t cpu ~fuel
         with Quantum ->
-          t.span_cut <- Tk_stats.Span.slot_of sp tok;
+          t.span_cut <- Tk_stats.Recorder.burst_slot t.rc tok;
           raise Quantum)
-  end
-  else run_loop t cpu ~fuel
 
 (** [entry_host t gpc] — host address for guest entry [gpc], translating
     on demand (used by ARK to start contexts). *)

@@ -45,7 +45,7 @@ exception Quantum
 type t = {
   soc : Soc.t;
   mode : Translator.mode;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  rc : Tk_stats.Recorder.t;  (** the platform recorder, cached *)
   mutable classify_target : int -> Translator.target_class;
   cb : callbacks;
   mutable cursor : int;  (** code-cache allocation point *)
@@ -70,9 +70,7 @@ type t = {
   mutable block_limit : int;  (** guest instructions per block *)
   mutable irq_dispatch : bool;  (** ARK's spinlock emulation pauses this *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** [env] with flight-recorder emission on memory accesses; the
-          run loop selects it only while tracing is enabled *)
+      (** memory closures test the flight recorder's flag inline *)
   mutable guest_translated : int;
   mutable host_emitted : int;
   mutable blocks : int;

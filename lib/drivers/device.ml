@@ -52,11 +52,6 @@ type t = {
      firmware glitch, §7.3) *)
   mutable glitch_next_resume : bool;
   mutable glitches_hit : int;
-  (* transient: power-rail ramp start (ns), -1 outside a transition;
-     feeds the async power-ramp span closed in [finish_power]. Never
-     live across a snapshot (World.fork refuses while a transition is
-     pending), so [saved] does not carry it. *)
-  mutable ramp_t0 : int;
   (* stats *)
   mutable cmds : int;
   mutable irqs_raised : int;
@@ -81,24 +76,15 @@ let finish_power t on =
   t.busy <- false;
   t.power_on <- on;
   t.cmd_done <- true;
-  let tr = t.soc.Soc.trace in
-  if tr.Tk_stats.Trace.enabled then
-    Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_none
-      Tk_stats.Trace.ev_power t.index (Bool.to_int on);
-  let sp = t.soc.Soc.spans in
-  (if sp.Tk_stats.Span.enabled then begin
-     let t0 = t.ramp_t0 in
-     t.ramp_t0 <- -1;
-     if t0 >= 0 then
-       Tk_stats.Span.emit_async sp ~core:Tk_stats.Trace.core_none
-         Tk_stats.Span.sk_power_ramp ~t0
-         ((2 * t.index) + Bool.to_int on)
-   end);
+  (* the rail event also closes the span tracer's power-ramp span *)
+  Tk_stats.Recorder.event t.soc.Soc.recorder ~core:Tk_stats.Trace.core_none
+    Tk_stats.Trace.ev_power t.index (Bool.to_int on);
   raise_irq t
 
 let ramp_begin t =
-  let sp = t.soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then t.ramp_t0 <- sp.Tk_stats.Span.now ()
+  ignore
+    (Tk_stats.Recorder.burst_open t.soc.Soc.recorder
+       ~core:Tk_stats.Trace.core_none Tk_stats.Span.sk_power_ramp t.index)
 
 let cmd t v =
   t.cmds <- t.cmds + 1;
@@ -196,7 +182,7 @@ let create soc ~name ~index ~suspend_us ~resume_us ?(cfg_us = 25)
       error = false; dma_busy = false; dma_done = false; fifo_busy = false;
       irq_en = false; dma_src = 0; dma_dst = 0; dma_len = 0; fifo_count = 0;
       fifo_sum = 0; scratch = Array.make 8 0; glitch_next_resume = false;
-      glitches_hit = 0; ramp_t0 = -1; cmds = 0; irqs_raised = 0 }
+      glitches_hit = 0; cmds = 0; irqs_raised = 0 }
   in
   Mem.add_region soc.Soc.mem (mmio_region t);
   t

@@ -89,7 +89,9 @@ let create ?(layout = Layout.v4_4) ?built ?m3_cache_kb () =
   List.iter
     (fun name ->
       let d = List.assoc name devices in
-      Tk_stats.Timeseries.add_gauge soc.Tk_machine.Soc.sampler ("pw_" ^ name)
+      Tk_stats.Substrate.gauge
+        soc.Tk_machine.Soc.recorder.Tk_stats.Recorder.sub
+        ~readers:Tk_stats.Substrate.sampler_bit ("pw_" ^ name)
         (fun () -> if d.Device.power_on then 1 else 0))
     registration_order;
   { soc; built; devices }

@@ -101,7 +101,8 @@ let create ?layout ?built ?devices ?(mode = Translator.Ark)
       ls_rounds = 0; ls_commits = 0; ls_max_skew_ns = 0 }
   in
   (* span-tracer attribution: fallbacks taken, from ARK's own counter *)
-  Tk_stats.Span.add_gauge plat.soc.Soc.spans "fallbacks" (fun () ->
+  Tk_stats.Substrate.gauge plat.soc.Soc.recorder.Tk_stats.Recorder.sub
+    ~readers:Tk_stats.Substrate.spans_bit "fallbacks" (fun () ->
       Tk_stats.Counters.get ark.Ark.counters "fallback.hits");
   ark.Ark.on_hypercall <-
     (fun n cpu ->
@@ -114,9 +115,7 @@ let create ?layout ?built ?devices ?(mode = Translator.Ark)
             ev_time_ns = plat.soc.Soc.m3.Core.clock.Clock.now;
             ev_m3 = Core.activity plat.soc.Soc.m3 }
           :: t.events;
-        Tk_stats.Trace.phase plat.soc.Soc.trace code;
-        Tk_stats.Timeseries.phase plat.soc.Soc.sampler code;
-        Tk_stats.Span.phase plat.soc.Soc.spans code
+        Tk_stats.Recorder.phase plat.soc.Soc.recorder code
       end
       else if n = Hyper.warn_hit then
         t.nat.Native_run.warns <-
@@ -179,37 +178,37 @@ let record t code =
     { ev_code = code; ev_time_ns = (plat t).soc.Soc.clock.Clock.now;
       ev_m3 = Core.activity (plat t).soc.Soc.m3 }
     :: t.events;
-  Tk_stats.Trace.phase (plat t).soc.Soc.trace code;
-  Tk_stats.Timeseries.phase (plat t).soc.Soc.sampler code;
-  Tk_stats.Span.phase (plat t).soc.Soc.spans code
+  Tk_stats.Recorder.phase (plat t).soc.Soc.recorder code
 
 (** [trace t] — the platform's flight recorder (enable/dump through
     {!Tk_stats.Trace}). *)
 let trace t = (plat t).soc.Soc.trace
 
-(** [suspend_resume_cycle t] runs one full ephemeral-task cycle with the
-    device phases offloaded: native freeze -> handoff -> ARK dpm_suspend
-    -> platform sleep -> ARK dpm_resume -> handback -> native thaw.
-    Returns [`Ok] or [`Fell_back reason]. *)
-let suspend_resume_cycle ?(prepare_traffic = true) ?(resume_native = false) t =
+(* One full ephemeral-task cycle, with [offload] running each offloaded
+   device phase: native freeze -> handoff -> suspend -> platform sleep
+   -> resume -> handback -> native thaw. On fallback the CPU takes over
+   the phase natively, its tick running meanwhile. *)
+let cycle t ~prepare_traffic ~resume_native ~offload =
   let nat = t.nat in
   let soc = (plat t).soc in
   if prepare_traffic && List.mem "wifi" nat.Native_run.devices then
     ignore (Native_run.call nat "wifi_prepare_traffic" []);
   ignore (Native_run.call nat "freeze_processes" []);
+  let result = ref `Ok in
+  let phase which =
+    match offload which with
+    | Ark.Completed -> ()
+    | Ark.Fell_back { fb_reason; fb_state } ->
+      t.fallbacks <- (fb_reason, soc.Soc.clock.Clock.now) :: t.fallbacks;
+      result := `Fell_back fb_reason;
+      Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
+      ignore (receive_fallback t fb_state);
+      Timer.stop_tick soc.Soc.cpu_timer
+  in
   (* ---- handoff: the kernel shuts down the CPU and passes control ---- *)
   Timer.stop_tick soc.Soc.cpu_timer;
   record t Hyper.ph_suspend_begin;
-  let result = ref `Ok in
-  (match offload_phase t `Suspend with
-  | Ark.Completed -> ()
-  | Ark.Fell_back { fb_reason; fb_state } ->
-    t.fallbacks <- (fb_reason, soc.Soc.clock.Clock.now) :: t.fallbacks;
-    result := `Fell_back fb_reason;
-    (* CPU takes over: restart its tick, finish the phase natively *)
-    Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
-    ignore (receive_fallback t fb_state);
-    Timer.stop_tick soc.Soc.cpu_timer);
+  phase `Suspend;
   record t Hyper.ph_suspend_end;
   (* ---- platform deep sleep ---- *)
   record t 900;
@@ -225,20 +224,19 @@ let suspend_resume_cycle ?(prepare_traffic = true) ?(resume_native = false) t =
      ignore (Native_run.call nat "dpm_resume" []);
      Timer.stop_tick soc.Soc.cpu_timer
    end
-   else
-     match offload_phase t `Resume with
-     | Ark.Completed -> ()
-     | Ark.Fell_back { fb_reason; fb_state } ->
-       t.fallbacks <- (fb_reason, soc.Soc.clock.Clock.now) :: t.fallbacks;
-       result := `Fell_back fb_reason;
-       Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
-       ignore (receive_fallback t fb_state);
-       Timer.stop_tick soc.Soc.cpu_timer);
+   else phase `Resume);
   record t Hyper.ph_resume_end;
   (* ---- handback: CPU resumes, thaws user space ---- *)
   Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
   ignore (Native_run.call nat "thaw_processes" []);
   !result
+
+(** [suspend_resume_cycle t] runs one full ephemeral-task cycle with the
+    device phases offloaded: native freeze -> handoff -> ARK dpm_suspend
+    -> platform sleep -> ARK dpm_resume -> handback -> native thaw.
+    Returns [`Ok] or [`Fell_back reason]. *)
+let suspend_resume_cycle ?(prepare_traffic = true) ?(resume_native = false) t =
+  cycle t ~prepare_traffic ~resume_native ~offload:(offload_phase t)
 
 (* ---------------------- concurrent phases ------------------------- *)
 
@@ -255,9 +253,11 @@ let workload_base = Soc.code_cache_base + Soc.code_cache_size
      move with it — devices are M3-owned during the segment, via
      [Soc.sched_clock]);
    - the A9 keeps the platform clock and runs with IRQs masked: no MMIO,
-     no events, no shared guest state (it only touches the scratch), so
-     between barriers the lanes' mutable state is disjoint and
-     [~domains:true] may run them on separate host domains;
+     no events, no shared guest state (it only touches the scratch);
+   - the recorder is paused for the lanes, its writes done at the
+     barriers (see [Tk_stats.Recorder]). So between barriers the lanes'
+     mutable state is disjoint and [~domains:true] may run them on
+     separate host domains;
    - at the end the lane merges back into the platform clock preserving
      the global (at, seq) event order, and the platform returns to the
      sequential single-clock regime. *)
@@ -318,7 +318,18 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
       t.ark.Ark.tick_on <- false)
     (fun () ->
       let ls = Lockstep.create ~quantum [ a9; m3 ] in
-      let st = Lockstep.run ~domains ls in
+      let rc = soc.Soc.recorder in
+      (* the M3 is lane 1: its phase marks post to the next barrier *)
+      Tk_stats.Recorder.pause rc
+        (Some (Tk_stats.Trace.core_m3, Lockstep.post ls ~lane:1));
+      let st =
+        Fun.protect
+          ~finally:(fun () -> Tk_stats.Recorder.pause rc None)
+          (fun () ->
+            Lockstep.run ~domains
+              ~on_barrier:(fun () -> Tk_stats.Recorder.barrier rc)
+              ls)
+      in
       t.ls_rounds <- t.ls_rounds + st.Lockstep.rounds;
       t.ls_commits <- t.ls_commits + st.Lockstep.commits;
       t.ls_max_skew_ns <- max t.ls_max_skew_ns st.Lockstep.max_skew_ns;
@@ -332,41 +343,8 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
     wall-clock differs. Returns [`Ok] or [`Fell_back reason]. *)
 let concurrent_cycle ?(prepare_traffic = true) ?(domains = false)
     ?(workload_bytes = 256 * 1024) t =
-  let nat = t.nat in
-  let soc = (plat t).soc in
-  if prepare_traffic && List.mem "wifi" nat.Native_run.devices then
-    ignore (Native_run.call nat "wifi_prepare_traffic" []);
-  ignore (Native_run.call nat "freeze_processes" []);
-  Timer.stop_tick soc.Soc.cpu_timer;
-  record t Hyper.ph_suspend_begin;
-  let result = ref `Ok in
-  (match concurrent_phase t `Suspend ~domains ~workload_bytes with
-  | Ark.Completed -> ()
-  | Ark.Fell_back { fb_reason; fb_state } ->
-    t.fallbacks <- (fb_reason, soc.Soc.clock.Clock.now) :: t.fallbacks;
-    result := `Fell_back fb_reason;
-    Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
-    ignore (receive_fallback t fb_state);
-    Timer.stop_tick soc.Soc.cpu_timer);
-  record t Hyper.ph_suspend_end;
-  record t 900;
-  Clock.advance soc.Soc.clock nat.Native_run.sleep_ns;
-  nat.Native_run.sleep_ns_total <-
-    nat.Native_run.sleep_ns_total + nat.Native_run.sleep_ns;
-  record t 901;
-  record t Hyper.ph_resume_begin;
-  (match concurrent_phase t `Resume ~domains ~workload_bytes with
-  | Ark.Completed -> ()
-  | Ark.Fell_back { fb_reason; fb_state } ->
-    t.fallbacks <- (fb_reason, soc.Soc.clock.Clock.now) :: t.fallbacks;
-    result := `Fell_back fb_reason;
-    Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
-    ignore (receive_fallback t fb_state);
-    Timer.stop_tick soc.Soc.cpu_timer);
-  record t Hyper.ph_resume_end;
-  Timer.start_tick soc.Soc.cpu_timer Layout.jiffy_ns;
-  ignore (Native_run.call nat "thaw_processes" []);
-  !result
+  cycle t ~prepare_traffic ~resume_native:false ~offload:(fun which ->
+      concurrent_phase t which ~domains ~workload_bytes)
 
 (** Per-cycle phase events, oldest first (same shape as the native
     runner's). *)

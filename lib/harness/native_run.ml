@@ -37,9 +37,7 @@ let record t code =
     { ev_code = code; ev_time_ns = t.plat.soc.Soc.clock.Clock.now;
       ev_cpu = Core.activity t.plat.soc.Soc.cpu }
     :: t.events;
-  Tk_stats.Trace.phase t.plat.soc.Soc.trace code;
-  Tk_stats.Timeseries.phase t.plat.soc.Soc.sampler code;
-  Tk_stats.Span.phase t.plat.soc.Soc.spans code
+  Tk_stats.Recorder.phase t.plat.soc.Soc.recorder code
 
 (** [trace t] — the platform's flight recorder (enable/dump through
     {!Tk_stats.Trace}). *)

@@ -25,33 +25,24 @@ type t = {
           incrementally so the interpreters' per-instruction /
           per-block "any deliverable interrupt?" poll is O(1) instead
           of a scan over all lines *)
-  mutable tr : Tk_stats.Trace.t;
-      (** flight recorder (the platform's; {!Tk_stats.Trace.null} until
-          the SoC wires it) *)
-  mutable tr_core : int;  (** which side this controller serves *)
-  mutable sp : Tk_stats.Span.t;
-      (** span tracer (the platform's; {!Tk_stats.Span.null} until the
-          SoC wires it) — records raise-to-ack delivery latency *)
-  raise_t : int array;
-      (** per-line raise time (ns), -1 when not pending; feeds the
-          async irq-deliver span closed at {!ack} *)
+  mutable rc : Tk_stats.Recorder.t;
+      (** the platform recorder ({!Tk_stats.Recorder.null} until the SoC
+          wires it); its raise and acknowledge events also bound the
+          span tracer's delivery-latency spans *)
+  mutable rc_core : int;  (** which side this controller serves *)
 }
 
 let create ~name ~nlines =
   { iname = name; nlines; enabled = Array.make nlines false;
     pending = Array.make nlines false; in_service = None; live = 0;
-    tr = Tk_stats.Trace.null; tr_core = Tk_stats.Trace.core_none;
-    sp = Tk_stats.Span.null; raise_t = Array.make nlines (-1) }
+    rc = Tk_stats.Recorder.null; rc_core = Tk_stats.Trace.core_none }
 
 let set_pending t line =
   if line >= 0 && line < t.nlines && not t.pending.(line) then begin
     t.pending.(line) <- true;
     if t.enabled.(line) then t.live <- t.live + 1;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:t.tr_core Tk_stats.Trace.ev_irq_raise
-        line 0;
-    if t.sp.Tk_stats.Span.enabled then
-      t.raise_t.(line) <- t.sp.Tk_stats.Span.now ()
+    Tk_stats.Recorder.event t.rc ~core:t.rc_core Tk_stats.Trace.ev_irq_raise
+      line 0
   end
 
 let clear_pending t line =
@@ -89,16 +80,8 @@ let ack t =
     t.pending.(l) <- false;
     t.live <- t.live - 1;  (* [highest] only returns enabled lines *)
     t.in_service <- Some l;
-    if t.tr.Tk_stats.Trace.enabled then
-      Tk_stats.Trace.emit t.tr ~core:t.tr_core Tk_stats.Trace.ev_irq_deliver
-        l 0;
-    (if t.sp.Tk_stats.Span.enabled then begin
-       let t0 = t.raise_t.(l) in
-       t.raise_t.(l) <- -1;
-       if t0 >= 0 then
-         Tk_stats.Span.emit_async t.sp ~core:t.tr_core
-           Tk_stats.Span.sk_irq_deliver ~t0 l
-     end);
+    Tk_stats.Recorder.event t.rc ~core:t.rc_core
+      Tk_stats.Trace.ev_irq_deliver l 0;
     l
   | None -> 1023
 

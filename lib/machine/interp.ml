@@ -39,21 +39,17 @@ let dense_words = (dense_top - dense_base) / 4
 type t = {
   soc : Soc.t;
   core : Core.t;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  rc : Tk_stats.Recorder.t;  (** the platform recorder, cached *)
   cpu : Exec.cpu;
   mutable decode : Exec.decoded array;
       (** dense, indexed by image word, grown on fetch; empty slots hold
           {!Exec.undecoded} *)
   decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same environment with flight-recorder emission on memory
-          accesses; [step] selects it only while tracing is enabled, so
-          the disabled hot path carries no trace branches *)
+      (** memory closures test the flight recorder's flag inline *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)
   mutable irq_saved : (int * int) list;  (** (return pc, flags) *)
   mutable on_svc : t -> Exec.cpu -> int -> unit;
-  mutable trace : (int -> Types.inst -> unit) option;
 }
 
 let dummy_env : Exec.env =
@@ -65,27 +61,33 @@ let in_dense = Soc.in_kernel_image
 
 let create ~(soc : Soc.t) () =
   let core = soc.cpu in
-  let tr = soc.trace in
+  let rc = soc.recorder in
   let t =
-    { soc; core; tr; cpu = Exec.make_cpu ();
+    { soc; core; rc; cpu = Exec.make_cpu ();
       decode = [||];
       decode_cache = Hashtbl.create 64;
-      env = dummy_env; env_traced = dummy_env; irq_vector = 0;
+      env = dummy_env; irq_vector = 0;
       irq_saved = [];
-      on_svc = (fun _ _ _ -> ()); trace = None }
+      on_svc = (fun _ _ _ -> ()) }
   in
   let mem = soc.mem in
-  (* The untraced closures below are the seed's hot path, byte for
-     byte: [step] only hands [env_traced] to the executor while the
-     flight recorder is enabled, so tracing costs nothing when off. *)
+  let sub = rc.Tk_stats.Recorder.sub in
+  let cpu_ev kind a b =
+    Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_cpu kind a b
+  in
   let load addr nbytes =
     if Mem.in_ram mem addr then begin
-      Core.charge_stall core (Cache.access core.cache ~write:false addr);
+      let stall = Cache.access core.cache ~write:false addr in
+      Core.charge_stall core stall;
+      if sub.Tk_stats.Substrate.tracing then
+        cpu_ev Tk_stats.Trace.ev_read addr stall;
       if nbytes = 4 then Mem.ram_read32 mem addr
       else Mem.ram_read mem addr nbytes
     end
     else begin
       Core.charge core core.p.mmio_penalty;
+      if sub.Tk_stats.Substrate.tracing then
+        cpu_ev Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
       Mem.read mem addr nbytes
     end
   in
@@ -94,19 +96,31 @@ let create ~(soc : Soc.t) () =
      store at an unaligned address), so both affected words are
      invalidated. A span word past the dense array was never fetched.
      Out of the span, the fallback table is empty in practice, so the
-     stack and heap stores skip hashing into it. *)
+     stack and heap stores skip hashing into it. The flight recorder
+     hears of the invalidations that drop a decoded word. *)
   let invalidate_word w =
     if in_dense w then begin
       let idx = (w - dense_base) asr 2 in
-      if idx < Array.length t.decode then
+      if idx < Array.length t.decode then begin
+        if
+          sub.Tk_stats.Substrate.tracing
+          && Array.unsafe_get t.decode idx != Exec.undecoded
+        then cpu_ev Tk_stats.Trace.ev_invalidate w 0;
         Array.unsafe_set t.decode idx Exec.undecoded
+      end
     end
-    else if Hashtbl.length t.decode_cache > 0 then
+    else if Hashtbl.length t.decode_cache > 0 then begin
+      if sub.Tk_stats.Substrate.tracing && Hashtbl.mem t.decode_cache w
+      then cpu_ev Tk_stats.Trace.ev_invalidate w 0;
       Hashtbl.remove t.decode_cache w
+    end
   in
   let store addr nbytes v =
     if Mem.in_ram mem addr then begin
-      Core.charge_stall core (Cache.access core.cache ~write:true addr);
+      let stall = Cache.access core.cache ~write:true addr in
+      Core.charge_stall core stall;
+      if sub.Tk_stats.Substrate.tracing then
+        cpu_ev Tk_stats.Trace.ev_write addr stall;
       let w0 = addr land lnot 3 in
       invalidate_word w0;
       let w1 = (addr + nbytes - 1) land lnot 3 in
@@ -116,63 +130,8 @@ let create ~(soc : Soc.t) () =
     end
     else begin
       Core.charge core core.p.mmio_penalty;
-      Mem.write mem addr nbytes v
-    end
-  in
-  let load_traced addr nbytes =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:false addr in
-      Core.charge_stall core stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
-  in
-  (* traced variant: also reports decode invalidations that actually
-     dropped a cached entry (a self-modifying-code signal) *)
-  let invalidate_word_traced w =
-    if in_dense w then begin
-      let idx = (w - dense_base) asr 2 in
-      if
-        idx < Array.length t.decode
-        && Array.unsafe_get t.decode idx != Exec.undecoded
-      then begin
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
-        Array.unsafe_set t.decode idx Exec.undecoded
-      end
-    end
-    else if Hashtbl.length t.decode_cache > 0 then begin
-      if Hashtbl.mem t.decode_cache w then
-        Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-          Tk_stats.Trace.ev_invalidate w 0;
-      Hashtbl.remove t.decode_cache w
-    end
-  in
-  let store_traced addr nbytes v =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:true addr in
-      Core.charge_stall core stall;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_write addr stall;
-      let w0 = addr land lnot 3 in
-      invalidate_word_traced w0;
-      let w1 = (addr + nbytes - 1) land lnot 3 in
-      if w1 <> w0 then invalidate_word_traced w1;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      Tk_stats.Trace.emit tr ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
+      if sub.Tk_stats.Substrate.tracing then
+        cpu_ev Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
       Mem.write mem addr nbytes v
     end
   in
@@ -194,8 +153,6 @@ let create ~(soc : Soc.t) () =
   in
   let svc cpu n = t.on_svc t cpu n in
   t.env <- { load; store; svc; wfi; irq_ret; undef };
-  t.env_traced <-
-    { load = load_traced; store = store_traced; svc; wfi; irq_ret; undef };
   t
 
 (** [set_pc t addr] positions the next fetch. *)
@@ -247,11 +204,11 @@ let deliver_irq t =
   cpu.Exec.irq_on <- false;
   cpu.Exec.r.(Types.pc) <- t.irq_vector
 
-(* one step with the tracing decision precomputed: [run] hoists the
-   enabled check out of its loop entirely (tracing never toggles while
-   guest code is executing), so the disabled path tests only an
-   immutable register-resident bool *)
-let step_env t traced env =
+(* one step with the recording decision precomputed: [run_until] hoists
+   it out of its loop entirely (recording never toggles while guest code
+   is executing), so the disabled path tests only an immutable
+   register-resident bool *)
+let step_env t recording env =
   let cpu = t.cpu in
   if cpu.Exec.irq_on && Intc.deliverable t.soc.fabric.gic then
     deliver_irq t;
@@ -259,10 +216,10 @@ let step_env t traced env =
   if not (Mem.in_ram t.soc.mem addr) then
     raise (Fault (Printf.sprintf "PC outside RAM: 0x%x" addr));
   let d = fetch_decode t addr in
-  (match t.trace with Some f -> f addr d.Exec.inst | None -> ());
   Core.retire t.core addr;
-  if traced then
-    Tk_stats.Trace.emit t.tr ~core:Tk_stats.Trace.core_cpu
+  if recording && t.rc.Tk_stats.Recorder.sub.Tk_stats.Substrate.tracing
+  then
+    Tk_stats.Recorder.event t.rc ~core:Tk_stats.Trace.core_cpu
       Tk_stats.Trace.ev_retire addr 0;
   match d.Exec.run cpu env addr with
   | Exec.Next -> Array.unsafe_set cpu.Exec.r Types.pc (addr + 4)
@@ -271,10 +228,9 @@ let step_env t traced env =
 (** [step t] executes one instruction (delivering a pending enabled IRQ
     first). *)
 let step t =
-  let traced = t.tr.Tk_stats.Trace.enabled in
-  step_env t traced (if traced then t.env_traced else t.env);
-  let ts = t.soc.Soc.sampler in
-  if ts.Tk_stats.Timeseries.enabled then Tk_stats.Timeseries.tick ts
+  let recording = Tk_stats.Recorder.recording t.rc in
+  step_env t recording t.env;
+  if recording then Tk_stats.Recorder.tick t.rc
 
 let fuel_exhausted fuel =
   Fault (Printf.sprintf "fuel exhausted after %d instructions" fuel)
@@ -286,18 +242,16 @@ let fuel_exhausted fuel =
     still propagates when the guest finishes inside the slice. *)
 let run_until t ~deadline ~fuel =
   let n = ref 0 in
-  let traced = t.tr.Tk_stats.Trace.enabled in
-  let env = if traced then t.env_traced else t.env in
-  (* telemetry sampler: same hoisting discipline as tracing — when
-     sampling is off the loop only tests an immutable bool *)
-  let ts = t.soc.Soc.sampler in
-  let sampling = ts.Tk_stats.Timeseries.enabled in
+  let env = t.env in
+  let recording = Tk_stats.Recorder.recording t.rc in
+  let sub = t.rc.Tk_stats.Recorder.sub in
   let clock = t.core.Core.clock in
   while clock.Clock.now < deadline do
     if !n >= fuel then raise (fuel_exhausted fuel);
     incr n;
-    step_env t traced env;
-    if sampling then Tk_stats.Timeseries.tick ts
+    step_env t recording env;
+    if recording && sub.Tk_stats.Substrate.sampling then
+      Tk_stats.Recorder.tick t.rc
   done
 
 (** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
@@ -310,12 +264,10 @@ let run t ~fuel =
   in
   (* one execution-burst span per call; [run] only ever exits by
      exception (Halt / Fault), so the close rides in [~finally] *)
-  let sp = t.soc.Soc.spans in
-  if sp.Tk_stats.Span.enabled then begin
-    let tok =
-      Tk_stats.Span.enter sp ~core:Tk_stats.Trace.core_cpu
-        Tk_stats.Span.sk_run 0
-    in
-    Fun.protect ~finally:(fun () -> Tk_stats.Span.leave sp tok) go
-  end
-  else go ()
+  let core = Tk_stats.Trace.core_cpu in
+  let tok = Tk_stats.Recorder.burst_open t.rc ~core Tk_stats.Span.sk_run 0 in
+  if tok < 0 then go ()
+  else
+    Fun.protect
+      ~finally:(fun () -> Tk_stats.Recorder.burst_close t.rc ~core tok)
+      go

@@ -22,7 +22,7 @@ exception Fault of string  (** simulation bug: deadlock, bad fetch, ... *)
 type t = {
   soc : Soc.t;
   core : Core.t;
-  tr : Tk_stats.Trace.t;  (** the platform flight recorder, cached *)
+  rc : Tk_stats.Recorder.t;  (** the platform recorder, cached *)
   cpu : Exec.cpu;
   mutable decode : Exec.decoded array;
       (** dense, indexed by image word from [Soc.kernel_base] and grown
@@ -30,13 +30,10 @@ type t = {
           {!Exec.undecoded} *)
   decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
-  mutable env_traced : Exec.env;
-      (** same environment with flight-recorder emission on memory
-          accesses; [step] selects it only while tracing is enabled *)
+      (** memory closures test the flight recorder's flag inline *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)
   mutable irq_saved : (int * int) list;  (** (return pc, flags) *)
   mutable on_svc : t -> Exec.cpu -> int -> unit;
-  mutable trace : (int -> Types.inst -> unit) option;
 }
 
 val create : soc:Soc.t -> unit -> t

@@ -21,13 +21,14 @@
       (CI-gated against the manifest and fleet digests).
 
     Rounds are driven either by a deterministic interleave (lane order
-    fixed, single domain — the default, safe for any telemetry) or with
-    each extra lane on its own [Domain] ([~domains:true]) — the barrier
-    is then a real synchronization point and per-SoC throughput roughly
-    doubles on a multicore host. Domain mode requires the lanes to touch
-    disjoint mutable state between barriers (the harness guarantees
-    this: trace/sampler/spans off, A9 running IRQ-masked CPU work, M3
-    owning the devices via [Soc.sched_clock]). *)
+    fixed, single domain — the default) or with each extra lane on its
+    own [Domain] ([~domains:true]) — the barrier is then a real
+    synchronization point. Domain mode requires the lanes to touch
+    disjoint mutable state between barriers. The harness arranges this:
+    the A9 runs IRQ-masked CPU work, the M3 owns the devices via
+    [Soc.sched_clock], and the recorder substrate is paused for the
+    lanes — the M3's phase marks are {!post}ed and the sampler's due
+    row taken by [on_barrier], both on the driving domain. *)
 
 type status = [ `Runnable | `Blocked | `Done ]
 
@@ -155,44 +156,49 @@ let step_lane t i ~deadline =
     t.status.(i) <- l.l_run ~deadline
   end
 
+let any_live t =
+  let r = ref false in
+  for i = 0 to Array.length t.lanes - 1 do
+    if live t i then r := true
+  done;
+  !r
+
+(* the barrier, on the driving domain once every lane has reached it:
+   commits, then [on_barrier], then the forward-progress check — a
+   round where every live lane is blocked, no commit ran and no lane
+   holds a pending event can never unblock *)
+let barrier t ~on_barrier =
+  record_skew t;
+  let committed = flush_commits t in
+  t.stats.commits <- t.stats.commits + committed;
+  on_barrier ();
+  if committed = 0 then begin
+    (* vacuously "stuck" when every lane just finished: not a deadlock *)
+    let stuck = ref (any_live t) in
+    for i = 0 to Array.length t.lanes - 1 do
+      if
+        live t i
+        && (t.status.(i) <> `Blocked
+           || Clock.next_event_time t.lanes.(i).l_clock <> None)
+      then stuck := false
+    done;
+    if !stuck then
+      raise
+        (Deadlock
+           ("lockstep deadlock: all lanes blocked with no events or \
+             commits pending (" ^ describe t ^ ")"))
+  end
+
 (* ------------------------ deterministic rounds ----------------------- *)
 
-let run_interleaved t =
-  let n = Array.length t.lanes in
-  let any_live () =
-    let r = ref false in
-    for i = 0 to n - 1 do
-      if live t i then r := true
-    done;
-    !r
-  in
-  while any_live () do
+let run_interleaved t ~on_barrier =
+  while any_live t do
     t.stats.rounds <- t.stats.rounds + 1;
     t.barrier_at <- t.barrier_at + t.quantum;
-    for i = 0 to n - 1 do
+    for i = 0 to Array.length t.lanes - 1 do
       if live t i then step_lane t i ~deadline:t.barrier_at
     done;
-    record_skew t;
-    let committed = flush_commits t in
-    t.stats.commits <- t.stats.commits + committed;
-    (* forward progress: a round where every live lane is blocked, no
-       commit ran and no lane holds a pending event can never unblock *)
-    if committed = 0 then begin
-      (* vacuously "stuck" when every lane just finished: not a deadlock *)
-      let stuck = ref (any_live ()) in
-      for i = 0 to n - 1 do
-        if
-          live t i
-          && (t.status.(i) <> `Blocked
-             || Clock.next_event_time t.lanes.(i).l_clock <> None)
-        then stuck := false
-      done;
-      if !stuck then
-        raise
-          (Deadlock
-             ("lockstep deadlock: all lanes blocked with no events or \
-               commits pending (" ^ describe t ^ ")"))
-    end
+    barrier t ~on_barrier
   done
 
 (* --------------------------- domain rounds --------------------------- *)
@@ -211,7 +217,7 @@ type worker_box = {
   mutable done_round : bool;
 }
 
-let run_domains t =
+let run_domains t ~on_barrier =
   let n = Array.length t.lanes in
   let boxes =
     Array.init (n - 1) (fun _ ->
@@ -259,13 +265,6 @@ let run_domains t =
     box.done_round <- false;
     Mutex.unlock box.mu
   in
-  let any_live () =
-    let r = ref false in
-    for i = 0 to n - 1 do
-      if live t i then r := true
-    done;
-    !r
-  in
   Fun.protect
     ~finally:(fun () ->
       for w = 0 to n - 2 do
@@ -273,7 +272,7 @@ let run_domains t =
       done;
       Array.iter Domain.join workers)
     (fun () ->
-      while any_live () do
+      while any_live t do
         t.stats.rounds <- t.stats.rounds + 1;
         t.barrier_at <- t.barrier_at + t.quantum;
         for w = 0 to n - 2 do
@@ -283,31 +282,15 @@ let run_domains t =
         for w = 0 to n - 2 do
           await w
         done;
-        record_skew t;
-        let committed = flush_commits t in
-        t.stats.commits <- t.stats.commits + committed;
-        if committed = 0 then begin
-          (* vacuously "stuck" when every lane just finished: not a deadlock *)
-      let stuck = ref (any_live ()) in
-          for i = 0 to n - 1 do
-            if
-              live t i
-              && (t.status.(i) <> `Blocked
-                 || Clock.next_event_time t.lanes.(i).l_clock <> None)
-            then stuck := false
-          done;
-          if !stuck then
-            raise
-              (Deadlock
-                 ("lockstep deadlock: all lanes blocked with no events or \
-                   commits pending (" ^ describe t ^ ")"))
-        end
+        barrier t ~on_barrier
       done)
 
-(** [run ?domains t] — drive all lanes to [`Done]. Returns the stats. *)
-let run ?(domains = false) t =
-  if domains && Array.length t.lanes > 1 then run_domains t
-  else run_interleaved t;
+(** [run ?domains ?on_barrier t] — drive all lanes to [`Done]; after
+    each barrier's commits, [on_barrier] runs on the driving domain.
+    Returns the stats. *)
+let run ?(domains = false) ?(on_barrier = ignore) t =
+  if domains && Array.length t.lanes > 1 then run_domains t ~on_barrier
+  else run_interleaved t ~on_barrier;
   t.stats
 
 (** [merge_lane ~into lane] — after a concurrent segment: advance the

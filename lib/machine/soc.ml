@@ -89,18 +89,21 @@ type t = {
   m3 : Core.t;
   cpu_timer : Timer.t;
   m3_timer : Timer.t;
+  recorder : Tk_stats.Recorder.t;
+      (** the recorder substrate: every component of this SoC reports
+          through it, and gauges over every counter of the SoC are
+          registered in it *)
   trace : Tk_stats.Trace.t;
-      (** the platform's flight recorder (disabled by default); every
-          component of this SoC emits into it *)
+      (** the recorder's flight recorder (disabled by default): point
+          events from every component, counter snapshots at phase marks *)
   sampler : Tk_stats.Timeseries.t;
-      (** the cycle-domain telemetry sampler (disabled by default);
-          gauges over every counter of this SoC are wired here, and the
+      (** the recorder's cycle-domain sampler (disabled by default); the
           run loops tick it on the sampling period *)
   spans : Tk_stats.Span.t;
-      (** the causal span tracer (disabled by default); the harness
-          marks phase frames into it and the interrupt controllers,
-          devices and DBT engine record latency/burst spans, each
-          snapshotting the attribution gauges wired here *)
+      (** the recorder's causal span tracer (disabled by default); the
+          harness marks phase frames into it and the interrupt
+          controllers, devices and DBT engine record latency and burst
+          spans, each snapshotting the attribution gauges *)
 }
 
 (** [create ?m3_cache_kb ()] builds a fresh platform. [m3_cache_kb]
@@ -132,64 +135,56 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   Mem.add_region mem (Intc.mmio_region fabric.gic ~base:gic_base);
   Mem.add_region mem (Timer.mmio_region cpu_timer ~base:cpu_timer_base);
   Mem.add_region mem (Timer.mmio_region m3_timer ~base:m3_timer_base);
-  (* flight recorder: one per platform, time-sourced from the shared
-     clock, with per-core busy/traffic gauges sampled at phase marks *)
-  let trace = Tk_stats.Trace.create () in
-  trace.Tk_stats.Trace.now <- (fun () -> clock.Clock.now);
-  trace.Tk_stats.Trace.probes <-
-    [ ("a9_busy_cy", fun () -> cpu.Core.busy_cycles);
-      ("a9_instrs", fun () -> cpu.Core.instructions);
-      ("a9_miss", fun () -> cpu.Core.cache.Cache.misses);
-      ("m3_busy_cy", fun () -> m3.Core.busy_cycles);
-      ("m3_instrs", fun () -> m3.Core.instructions);
-      ("m3_miss", fun () -> m3.Core.cache.Cache.misses) ];
-  fabric.Intc.gic.Intc.tr <- trace;
-  fabric.Intc.gic.Intc.tr_core <- Tk_stats.Trace.core_cpu;
-  fabric.Intc.nvic.Intc.tr <- trace;
-  fabric.Intc.nvic.Intc.tr_core <- Tk_stats.Trace.core_m3;
-  (* cycle-domain sampler: shares the clock with the recorder; one gauge
-     per platform counter (core time/work, cache traffic, DMA). Higher
-     layers (DBT engine, device drivers) wire their own gauges on top. *)
-  let sampler = Tk_stats.Timeseries.create () in
-  sampler.Tk_stats.Timeseries.now <- (fun () -> clock.Clock.now);
-  let gauge = Tk_stats.Timeseries.add_gauge sampler in
-  let core_gauges prefix (c : Core.t) =
-    gauge (prefix ^ "_busy_ps") (fun () -> c.Core.busy_ps);
-    gauge (prefix ^ "_idle_ps") (fun () -> c.Core.idle_ps);
-    gauge (prefix ^ "_busy_cy") (fun () -> c.Core.busy_cycles);
-    gauge (prefix ^ "_instrs") (fun () -> c.Core.instructions);
-    gauge (prefix ^ "_hits") (fun () -> c.Core.cache.Cache.hits);
-    gauge (prefix ^ "_miss") (fun () -> c.Core.cache.Cache.misses);
-    gauge (prefix ^ "_rd_bytes") (fun () -> c.Core.cache.Cache.rd_bytes);
-    gauge (prefix ^ "_wr_bytes") (fun () -> c.Core.cache.Cache.wr_bytes)
+  (* the recorder substrate: one per platform, on the shared clock.
+     Gauges over the core counters feed the sampler's columns (and, for
+     busy cycles, instructions and misses, the flight recorder's phase
+     probes); higher layers (DBT engine, device drivers) wire their own
+     on top. *)
+  let recorder = Tk_stats.Recorder.create ~now:(fun () -> clock.Clock.now) () in
+  let gauge = Tk_stats.Substrate.gauge recorder.Tk_stats.Recorder.sub in
+  let sampled = Tk_stats.Substrate.sampler_bit in
+  let probed = sampled lor Tk_stats.Substrate.trace_bit in
+  let core_gauges prefix core (c : Core.t) =
+    let g readers name f = gauge ~core ~readers (prefix ^ name) f in
+    g sampled "_busy_ps" (fun () -> c.Core.busy_ps);
+    g sampled "_idle_ps" (fun () -> c.Core.idle_ps);
+    g probed "_busy_cy" (fun () -> c.Core.busy_cycles);
+    g probed "_instrs" (fun () -> c.Core.instructions);
+    g sampled "_hits" (fun () -> c.Core.cache.Cache.hits);
+    g probed "_miss" (fun () -> c.Core.cache.Cache.misses);
+    g sampled "_rd_bytes" (fun () -> c.Core.cache.Cache.rd_bytes);
+    g sampled "_wr_bytes" (fun () -> c.Core.cache.Cache.wr_bytes)
   in
-  core_gauges "a9" cpu;
-  core_gauges "m3" m3;
-  gauge "dma_rd_bytes" (fun () -> mem.Mem.dma_read_bytes);
-  gauge "dma_wr_bytes" (fun () -> mem.Mem.dma_write_bytes);
-  (* causal span tracer: same clock; attribution gauges are monotone
-     counters so sibling span deltas telescope into their parent's
-     (Span.reconcile audits the 0.1% bar). Energy is integrated in
-     integer nJ from the same busy/idle-ps figures the power model
-     uses — truncation of a nondecreasing float keeps it monotone. *)
-  let spans = Tk_stats.Span.create () in
-  spans.Tk_stats.Span.now <- (fun () -> clock.Clock.now);
+  core_gauges "a9" Tk_stats.Trace.core_cpu cpu;
+  core_gauges "m3" Tk_stats.Trace.core_m3 m3;
+  gauge ~readers:sampled "dma_rd_bytes" (fun () -> mem.Mem.dma_read_bytes);
+  gauge ~readers:sampled "dma_wr_bytes" (fun () -> mem.Mem.dma_write_bytes);
+  (* span attribution gauges are monotone counters, so sibling span
+     deltas telescope into their parent's (Span.reconcile audits the
+     0.1% bar). Energy is integrated in integer nJ from the same
+     busy/idle-ps figures the power model uses — truncation of a
+     nondecreasing float keeps it monotone. *)
   let core_energy_nj (c : Core.t) =
     int_of_float
       (((float_of_int c.Core.busy_ps *. c.Core.p.Core.busy_mw)
        +. (float_of_int c.Core.idle_ps *. c.Core.p.Core.idle_mw))
       /. 1e6)
   in
-  Tk_stats.Span.add_gauge spans "instructions" (fun () ->
+  let spanned = Tk_stats.Substrate.spans_bit in
+  gauge ~readers:spanned "instructions" (fun () ->
       cpu.Core.instructions + m3.Core.instructions);
-  Tk_stats.Span.add_gauge spans "stall_cycles" (fun () ->
+  gauge ~readers:spanned "stall_cycles" (fun () ->
       cpu.Core.stall_cycles + m3.Core.stall_cycles);
-  Tk_stats.Span.add_gauge spans "energy_nj" (fun () ->
+  gauge ~readers:spanned "energy_nj" (fun () ->
       core_energy_nj cpu + core_energy_nj m3);
-  fabric.Intc.gic.Intc.sp <- spans;
-  fabric.Intc.nvic.Intc.sp <- spans;
+  fabric.Intc.gic.Intc.rc <- recorder;
+  fabric.Intc.gic.Intc.rc_core <- Tk_stats.Trace.core_cpu;
+  fabric.Intc.nvic.Intc.rc <- recorder;
+  fabric.Intc.nvic.Intc.rc_core <- Tk_stats.Trace.core_m3;
   { clock; sched_clock = clock; mem; fabric; cpu; m3; cpu_timer; m3_timer;
-    trace; sampler; spans }
+    recorder; trace = recorder.Tk_stats.Recorder.trace;
+    sampler = recorder.Tk_stats.Recorder.sampler;
+    spans = recorder.Tk_stats.Recorder.spans }
 
 (** [dev_base i] is the MMIO base address of device slot [i]. *)
 let dev_base i = dev_mmio_base + (i * dev_mmio_stride)

@@ -76,18 +76,21 @@ type t = {
   m3 : Core.t;
   cpu_timer : Timer.t;
   m3_timer : Timer.t;
+  recorder : Tk_stats.Recorder.t;
+      (** the recorder substrate: every component of this SoC reports
+          through it, and gauges over every counter of the SoC are
+          registered in it *)
   trace : Tk_stats.Trace.t;
-      (** the platform's flight recorder (disabled by default); every
-          component of this SoC emits into it *)
+      (** the recorder's flight recorder (disabled by default): point
+          events from every component, counter snapshots at phase marks *)
   sampler : Tk_stats.Timeseries.t;
-      (** the cycle-domain telemetry sampler (disabled by default);
-          gauges over every counter of this SoC are wired here, and the
+      (** the recorder's cycle-domain sampler (disabled by default); the
           run loops tick it on the sampling period *)
   spans : Tk_stats.Span.t;
-      (** the causal span tracer (disabled by default); the harness
-          marks phase frames into it and the interrupt controllers,
-          devices and DBT engine record latency/burst spans, each
-          snapshotting the attribution gauges wired here *)
+      (** the recorder's causal span tracer (disabled by default); the
+          harness marks phase frames into it and the interrupt
+          controllers, devices and DBT engine record latency and burst
+          spans, each snapshotting the attribution gauges *)
 }
 
 (** [create ?m3_cache_kb ()] builds a fresh platform. [m3_cache_kb]

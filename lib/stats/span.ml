@@ -17,8 +17,12 @@
     the energy ledger's 0.1% bar, applied to time. {!reconcile}
     computes the residuals; test/test_span.ml pins the bar.
 
+    The clock and the attribution gauges are the platform {!Substrate}'s;
+    producers open and close bursts, and post the point events that
+    bound the async spans, through its {!Recorder}.
+
     Cost discipline matches {!Trace}: recording is simulation-neutral,
-    every producer guards on the flat [enabled] bool, and the enabled
+    every producer guards on the substrate's flag word, and the enabled
     path allocates nothing (pre-sized parallel arrays, no closures). *)
 
 (* ------------------------- span kinds -------------------------------- *)
@@ -48,18 +52,13 @@ let kind_name = function
   | 9 -> "dev-phase"
   | _ -> "?"
 
-let kind_of_name = function
-  | "wakeup" -> Some sk_wakeup
-  | "suspend" -> Some sk_suspend
-  | "sleep" -> Some sk_sleep
-  | "resume" -> Some sk_resume
-  | "run" -> Some sk_run
-  | "irq-deliver" -> Some sk_irq_deliver
-  | "dbt-translate" -> Some sk_dbt_translate
-  | "dbt-form" -> Some sk_dbt_form
-  | "power-ramp" -> Some sk_power_ramp
-  | "dev-phase" -> Some sk_dev_phase
-  | _ -> None
+(* the inverse of [kind_name]: one vocabulary table *)
+let kind_of_name n =
+  let rec find k =
+    if k >= nkinds then None else if kind_name k = n then Some k
+    else find (k + 1)
+  in
+  find 0
 
 (* Async spans overlap their siblings (they measure latency across the
    timeline, not exclusive execution), so reconciliation and any
@@ -84,14 +83,11 @@ let ph_dev_mark = 100
 (* --------------------------- recorder -------------------------------- *)
 
 type t = {
+  sub : Substrate.t;
   mutable enabled : bool;
-  mutable now : unit -> int;
-  mutable gauges : (string * (unit -> int)) list;
   mutable coalesce_gap_ns : int;
   mutable cap : int;
-  (* baked at enable *)
-  mutable gnames : string array;
-  mutable gfns : (unit -> int) array;
+  mutable gauges : Substrate.gauge array;  (* baked at enable *)
   (* parallel span arrays, slot-indexed; a slot is allocated at open and
      stays in open order, so children always follow their parent *)
   mutable q_kind : int array;
@@ -106,35 +102,36 @@ type t = {
   mutable dropped : int;  (* spans refused at capacity (newest dropped) *)
   stack : int array;  (* open-frame slots, -1 for a dropped frame *)
   mutable depth : int;
-  dev_t0 : int array;  (* async device-mark open times, dev*2 + phase *)
+  (* async open times, -1 when none is open *)
+  dev_t0 : int array;  (* device phase marks, dev*2 + phase *)
+  irq_t0 : int array;  (* raised lines, core * max_lines + line *)
+  ramp_t0 : int array;  (* power-rail ramps, by device slot *)
 }
 
 let default_cap = 1 lsl 16
 let max_depth = 64
 let max_dev_cells = 64
+let max_lines = 128
 
-let create () =
-  { enabled = false; now = (fun () -> 0); gauges = [];
-    coalesce_gap_ns = 500; cap = default_cap; gnames = [||]; gfns = [||];
-    q_kind = [||]; q_core = [||]; q_parent = [||]; q_t0 = [||]; q_t1 = [||];
-    q_arg = [||]; q_a0 = [||]; q_a1 = [||]; n = 0; dropped = 0;
-    stack = Array.make max_depth (-1); depth = 0;
-    dev_t0 = Array.make max_dev_cells (-1) }
-
-let null = create ()
+let create sub =
+  { sub; enabled = false; coalesce_gap_ns = 500; cap = default_cap;
+    gauges = [||]; q_kind = [||]; q_core = [||]; q_parent = [||];
+    q_t0 = [||]; q_t1 = [||]; q_arg = [||]; q_a0 = [||]; q_a1 = [||]; n = 0;
+    dropped = 0; stack = Array.make max_depth (-1); depth = 0;
+    dev_t0 = Array.make max_dev_cells (-1);
+    irq_t0 = Array.make (3 * max_lines) (-1);
+    ramp_t0 = Array.make max_dev_cells (-1) }
 
 let reset t =
   t.n <- 0;
   t.dropped <- 0;
   t.depth <- 0;
-  Array.fill t.dev_t0 0 max_dev_cells (-1)
-
-let bake t =
-  t.gnames <- Array.of_list (List.map fst t.gauges);
-  t.gfns <- Array.of_list (List.map snd t.gauges)
+  List.iter
+    (fun a -> Array.fill a 0 (Array.length a) (-1))
+    [ t.dev_t0; t.irq_t0; t.ramp_t0 ]
 
 let allocate t =
-  let ng = Array.length t.gfns in
+  let ng = Array.length t.gauges in
   t.q_kind <- Array.make t.cap 0;
   t.q_core <- Array.make t.cap 0;
   t.q_parent <- Array.make t.cap (-1);
@@ -146,55 +143,53 @@ let allocate t =
 
 let enable ?cap t =
   (match cap with Some c -> t.cap <- max 16 c | None -> ());
-  bake t;
+  t.gauges <- Substrate.gauges t.sub Substrate.spans_bit;
   allocate t;
   reset t;
-  t.enabled <- true
+  t.enabled <- true;
+  Substrate.set_live t.sub Substrate.spans_bit true
 
-let disable t = t.enabled <- false
-
-let add_gauge t name f =
-  (if List.mem_assoc name t.gauges then
-     t.gauges <-
-       List.map (fun (n, g) -> if n = name then (n, f) else (n, g)) t.gauges
-   else t.gauges <- t.gauges @ [ (name, f) ]);
-  (* re-wiring while live resizes the snapshot stride: start over *)
-  if t.enabled then begin
-    bake t;
-    allocate t;
-    reset t
-  end
+let disable t =
+  t.enabled <- false;
+  Substrate.set_live t.sub Substrate.spans_bit false
 
 (* ------------------------- recording --------------------------------- *)
 
 let snap t (arr : int array) s =
-  let ng = Array.length t.gfns in
+  let ng = Array.length t.gauges in
   let base = s * ng in
   for g = 0 to ng - 1 do
-    Array.unsafe_set arr (base + g) ((Array.unsafe_get t.gfns g) ())
+    Array.unsafe_set arr (base + g)
+      ((Array.unsafe_get t.gauges g).Substrate.read ())
   done
+
+(* a fresh slot for a span parented to the current top of stack, its
+   open gauges snapshotted; -1 (counted dropped) at capacity *)
+let alloc t ~core kind arg ~t0 ~t1 =
+  if t.n < t.cap then begin
+    let s = t.n in
+    t.n <- s + 1;
+    t.q_kind.(s) <- kind;
+    t.q_core.(s) <- core;
+    t.q_arg.(s) <- arg;
+    t.q_parent.(s) <- (if t.depth > 0 then t.stack.(t.depth - 1) else -1);
+    t.q_t0.(s) <- t0;
+    t.q_t1.(s) <- t1;
+    snap t t.q_a0 s;
+    s
+  end
+  else begin
+    t.dropped <- t.dropped + 1;
+    -1
+  end
 
 (** [enter t ~core kind arg] opens a frame span nested under the current
     top of stack, returning a depth token for {!leave}. *)
 let enter t ~core kind arg =
   let tok = t.depth in
   if tok < max_depth then begin
-    (if t.n < t.cap then begin
-       let s = t.n in
-       t.n <- s + 1;
-       t.q_kind.(s) <- kind;
-       t.q_core.(s) <- core;
-       t.q_arg.(s) <- arg;
-       t.q_parent.(s) <- (if tok > 0 then t.stack.(tok - 1) else -1);
-       t.q_t0.(s) <- t.now ();
-       t.q_t1.(s) <- -1;
-       snap t t.q_a0 s;
-       t.stack.(tok) <- s
-     end
-     else begin
-       t.dropped <- t.dropped + 1;
-       t.stack.(tok) <- -1
-     end);
+    t.stack.(tok) <-
+      alloc t ~core kind arg ~t0:(t.sub.Substrate.now ()) ~t1:(-1);
     t.depth <- tok + 1
   end
   else t.dropped <- t.dropped + 1;
@@ -213,11 +208,29 @@ let close_top t tnow =
     truncates stray inner frames at the current instant. *)
 let leave t tok =
   if t.depth > tok then begin
-    let tnow = t.now () in
+    let tnow = t.sub.Substrate.now () in
     while t.depth > tok do
       close_top t tnow
     done
   end
+
+(* can the closed span at [s] reopen as the next [kind]/[core] frame
+   under the current top of stack? *)
+let reopenable t ~core kind s =
+  let tok = t.depth in
+  s >= 0 && s < t.n && tok < max_depth
+  && t.q_t1.(s) >= 0
+  && t.q_kind.(s) = kind
+  && t.q_core.(s) = core
+  && t.q_parent.(s) = (if tok > 0 then t.stack.(tok - 1) else -1)
+
+let reopen_slot t s arg =
+  let tok = t.depth in
+  t.q_t1.(s) <- -1;
+  t.q_arg.(s) <- t.q_arg.(s) + arg;
+  t.stack.(tok) <- s;
+  t.depth <- tok + 1;
+  tok
 
 (** [enter_coalesced] — like {!enter}, but if the most recently
     allocated span is a just-closed sibling of the same kind/core within
@@ -225,22 +238,11 @@ let leave t tok =
     back-to-back DBT translate calls into one burst span instead of a
     picket fence of points. *)
 let enter_coalesced t ~core kind arg =
-  let tok = t.depth in
   let s = t.n - 1 in
   if
-    s >= 0 && tok < max_depth
-    && t.q_t1.(s) >= 0
-    && t.q_kind.(s) = kind
-    && t.q_core.(s) = core
-    && t.q_parent.(s) = (if tok > 0 then t.stack.(tok - 1) else -1)
-    && t.now () - t.q_t1.(s) <= t.coalesce_gap_ns
-  then begin
-    t.q_t1.(s) <- -1;
-    t.q_arg.(s) <- t.q_arg.(s) + arg;
-    t.stack.(tok) <- s;
-    t.depth <- tok + 1;
-    tok
-  end
+    reopenable t ~core kind s
+    && t.sub.Substrate.now () - t.q_t1.(s) <= t.coalesce_gap_ns
+  then reopen_slot t s arg
   else enter t ~core kind arg
 
 (** [slot_of t tok] — the slot of the still-open frame behind token
@@ -256,19 +258,7 @@ let slot_of t tok = if tok >= 0 && tok < t.depth then t.stack.(tok) else -1
     back to a fresh {!enter} when the slot no longer matches (recorder
     restarted, frame dropped at the cap, different enclosing frame). *)
 let reopen t ~core kind ~slot arg =
-  let tok = t.depth in
-  if
-    slot >= 0 && slot < t.n && tok < max_depth
-    && t.q_t1.(slot) >= 0
-    && t.q_kind.(slot) = kind
-    && t.q_core.(slot) = core
-    && t.q_parent.(slot) = (if tok > 0 then t.stack.(tok - 1) else -1)
-  then begin
-    t.q_t1.(slot) <- -1;
-    t.stack.(tok) <- slot;
-    t.depth <- tok + 1;
-    tok
-  end
+  if reopenable t ~core kind slot then reopen_slot t slot 0
   else enter t ~core kind arg
 
 (** [emit_async t ~core kind ~t0 arg] records a complete span that
@@ -276,20 +266,48 @@ let reopen t ~core kind ~slot arg =
     stack (IRQ delivery, power-rail ramps). Parented to the current top
     of stack; carries no attribution delta. *)
 let emit_async t ~core kind ~t0 arg =
-  if t.n < t.cap then begin
-    let s = t.n in
-    t.n <- s + 1;
-    t.q_kind.(s) <- kind;
-    t.q_core.(s) <- core;
-    t.q_arg.(s) <- arg;
-    t.q_parent.(s) <- (if t.depth > 0 then t.stack.(t.depth - 1) else -1);
-    t.q_t0.(s) <- t0;
-    t.q_t1.(s) <- t.now ();
-    snap t t.q_a0 s;
-    let ng = Array.length t.gfns in
+  let s = alloc t ~core kind arg ~t0 ~t1:(t.sub.Substrate.now ()) in
+  if s >= 0 then begin
+    let ng = Array.length t.gauges in
     Array.blit t.q_a0 (s * ng) t.q_a1 (s * ng) ng
   end
-  else t.dropped <- t.dropped + 1
+
+(** [open_burst t ~core kind arg] — a frame span (DBT bursts coalesce),
+    or the start of device [arg]'s power ramp, closed by its [ev_power]
+    event. Returns the {!leave} token ([-1] for the ramp). *)
+let open_burst t ~core kind arg =
+  if kind = sk_power_ramp then begin
+    if arg < max_dev_cells then t.ramp_t0.(arg) <- t.sub.Substrate.now ();
+    -1
+  end
+  else if kind = sk_dbt_translate || kind = sk_dbt_form then
+    enter_coalesced t ~core kind arg
+  else enter t ~core kind arg
+
+(* the async span open at [cells.(i)], closed now *)
+let close_async t cells i ~core kind arg =
+  if i < Array.length cells then begin
+    let t0 = cells.(i) in
+    cells.(i) <- -1;
+    if t0 >= 0 then emit_async t ~core kind ~t0 arg
+  end
+
+(** The {!Trace} point events that bound an async span. *)
+let event_kinds =
+  (1 lsl Trace.ev_irq_raise) lor (1 lsl Trace.ev_irq_deliver)
+  lor (1 lsl Trace.ev_power)
+
+(** [event t ~core kind a b] — a point event in {!event_kinds}: an IRQ
+    raise opens the line's delivery span and its acknowledge closes it;
+    a rail change closes the device's power ramp. *)
+let event t ~core kind a b =
+  if kind = Trace.ev_power then
+    close_async t t.ramp_t0 a ~core sk_power_ramp ((2 * a) + b)
+  else if a < max_lines then begin
+    let cell = (core * max_lines) + a in
+    if kind = Trace.ev_irq_raise then t.irq_t0.(cell) <- t.sub.Substrate.now ()
+    else close_async t t.irq_t0 cell ~core sk_irq_deliver a
+  end
 
 (* [close_kind t kind] closes the innermost open frame of [kind] (and
    any stray frames above it). No-op when no such frame is open, so an
@@ -307,14 +325,14 @@ let close_kind t kind =
      done
    with Exit -> ());
   if !found >= 0 then begin
-    let tnow = t.now () in
+    let tnow = t.sub.Substrate.now () in
     while t.depth > !found do
       close_top t tnow
     done
   end
 
-(** [phase t code] — the phase-mark dispatcher the harness feeds from
-    its [record] path: opens/closes the suspend, sleep, wakeup and
+(** [phase t code] — the phase-mark dispatcher {!Recorder.phase}
+    feeds: opens/closes the suspend, sleep, wakeup and
     resume frame spans and turns per-device marks into async spans.
     Callers guard on [t.enabled]. *)
 let phase t code =
@@ -338,13 +356,9 @@ let phase t code =
     let d = (code - ph_dev_mark) / 10 and k = (code - ph_dev_mark) mod 10 in
     let cell = (2 * d) + (k / 2) in
     if k <= 3 && cell < max_dev_cells then
-      if k land 1 = 0 then t.dev_t0.(cell) <- t.now ()
-      else begin
-        let t0 = t.dev_t0.(cell) in
-        t.dev_t0.(cell) <- -1;
+      if k land 1 = 0 then t.dev_t0.(cell) <- t.sub.Substrate.now ()
         (* arg = dev*2 for the suspend interval, dev*2+1 for resume *)
-        if t0 >= 0 then emit_async t ~core sk_dev_phase ~t0 cell
-      end
+      else close_async t t.dev_t0 cell ~core sk_dev_phase cell
   end
   end
 
@@ -376,7 +390,7 @@ type recon = {
     test/test_span.ml catches any producer that breaks the nesting or a
     gauge that stops being monotone. *)
 let reconcile t =
-  let ng = Array.length t.gfns in
+  let ng = Array.length t.gauges in
   let roots = ref 0 and dmax = ref 0.0 and amax = ref 0.0 in
   let cattr = Array.make (max 1 ng) 0 in
   for p = 0 to t.n - 1 do
@@ -417,7 +431,7 @@ let reconcile t =
 (* ----------------------------- export -------------------------------- *)
 
 let dump_jsonl oc t =
-  let ng = Array.length t.gfns in
+  let ng = Array.length t.gauges in
   let b = Buffer.create 256 in
   for s = 0 to t.n - 1 do
     if t.q_t1.(s) >= 0 then begin
@@ -433,7 +447,7 @@ let dump_jsonl oc t =
         t.q_arg.(s);
       for g = 0 to ng - 1 do
         if g > 0 then Buffer.add_string b ", ";
-        Printf.bprintf b "%s: %d" (Json.quote t.gnames.(g))
+        Printf.bprintf b "%s: %d" (Json.quote t.gauges.(g).Substrate.name)
           (t.q_a1.((s * ng) + g) - t.q_a0.((s * ng) + g))
       done;
       Buffer.add_string b "}}\n";
@@ -447,7 +461,7 @@ let dump_jsonl oc t =
    counter tracks replayed from the timeseries sampler's rows when a
    sampler is passed. *)
 let dump_perfetto ?timeseries oc t =
-  let ng = Array.length t.gfns in
+  let ng = Array.length t.gauges in
   output_string oc "{\"traceEvents\": [\n";
   let first = ref true in
   let emit line =
@@ -480,7 +494,7 @@ let dump_perfetto ?timeseries oc t =
         (float_of_int (t.q_t1.(s) - t.q_t0.(s)) /. 1e3)
         s t.q_parent.(s) t.q_arg.(s);
       for g = 0 to ng - 1 do
-        Printf.bprintf b ", %s: %d" (Json.quote t.gnames.(g))
+        Printf.bprintf b ", %s: %d" (Json.quote t.gauges.(g).Substrate.name)
           (t.q_a1.((s * ng) + g) - t.q_a0.((s * ng) + g))
       done;
       Buffer.add_string b "}}";

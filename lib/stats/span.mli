@@ -14,8 +14,11 @@
     telescope exactly into the parent delta ({!reconcile} audits this
     against a 0.1% bar, mirroring the energy ledger).
 
-    Cost discipline: simulation-neutral, producers guard on [enabled],
-    and the enabled path allocates nothing. *)
+    The clock and the attribution gauges are the platform
+    {!Substrate}'s; producers reach the tracer through its {!Recorder}.
+
+    Cost discipline: simulation-neutral, producers guard on the
+    substrate's flag word, and the enabled path allocates nothing. *)
 
 (* ------------------------- span kinds -------------------------------- *)
 
@@ -54,17 +57,13 @@ val is_async : int -> bool
 (* --------------------------- recorder -------------------------------- *)
 
 type t = {
+  sub : Substrate.t;  (** the platform substrate: time and gauges *)
   mutable enabled : bool;
-      (** the one flag every producer guards on *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable gauges : (string * (unit -> int)) list;
-      (** monotone attribution gauges in wiring order *)
   mutable coalesce_gap_ns : int;
       (** bursts closer than this merge in {!enter_coalesced} *)
   mutable cap : int;
-  mutable gnames : string array;
-  mutable gfns : (unit -> int) array;
+  mutable gauges : Substrate.gauge array;
+      (** attribution gauges, baked at {!enable} *)
   mutable q_kind : int array;
   mutable q_core : int array;
   mutable q_parent : int array;  (** slot of the enclosing frame, -1 root *)
@@ -78,19 +77,14 @@ type t = {
   stack : int array;
   mutable depth : int;
   dev_t0 : int array;
+  irq_t0 : int array;
+  ramp_t0 : int array;  (** async open times, -1 when none is open *)
 }
 
 val default_cap : int
-val create : unit -> t
 
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-val null : t
-
-(** [add_gauge t name f] wires an attribution gauge, replacing in place
-    on a name collision. Wiring while enabled restarts recording (the
-    snapshot stride changes). *)
-val add_gauge : t -> string -> (unit -> int) -> unit
+(** [create sub] — a disabled tracer over substrate [sub]. *)
+val create : Substrate.t -> t
 
 (** [enable ?cap t] starts recording from a clean slate; [cap] bounds
     retained spans (default 2^16) — past it the newest spans are
@@ -137,8 +131,23 @@ val reopen : t -> core:int -> int -> slot:int -> int -> int
     not nest on the frame stack. Carries no attribution delta. *)
 val emit_async : t -> core:int -> int -> t0:int -> int -> unit
 
-(** [phase t code] — phase-mark dispatcher fed by the harness [record]
-    path; opens/closes the suspend / sleep / wakeup / resume frames and
+(** [open_burst t ~core kind arg] — a burst opened through the
+    substrate: a frame span ([sk_dbt_translate] and [sk_dbt_form] bursts
+    coalesce, see {!enter_coalesced}), or for [sk_power_ramp] the start
+    of device [arg]'s rail ramp, which its [ev_power] event closes.
+    Returns the {!leave} token ([-1] for the ramp). *)
+val open_burst : t -> core:int -> int -> int -> int
+
+(** The {!Trace} point events that bound an async span. *)
+val event_kinds : int
+
+(** [event t ~core kind a b] — a point event in {!event_kinds}: an IRQ
+    raise opens the line's delivery span and its acknowledge closes it;
+    a rail change closes the device's power ramp. *)
+val event : t -> core:int -> int -> int -> int -> unit
+
+(** [phase t code] — phase-mark dispatcher fed by {!Recorder.phase};
+    opens/closes the suspend / sleep / wakeup / resume frames and
     converts per-device marks into async spans. The marker vocabulary
     mirrors [Tk_kernel.Hyper] (cross-checked in test/test_span.ml). *)
 val phase : t -> int -> unit

@@ -9,27 +9,25 @@
     attribution ledger, the [--timeseries] CSV/JSONL export, the run
     manifest — read whole columns back and work on row deltas.
 
+    The gauges and the clock are the platform {!Substrate}'s, and the
+    producers reach the sampler through its {!Recorder}.
+
     Cost discipline mirrors the recorder's: sampling is
     {e simulation-neutral} (gauges are read-only closures over model
     counters; no simulated cycles are ever charged) and near-free on the
-    host when disabled — the interpreter loops hoist the [enabled] flag
-    once per run and {!tick} is never called on the disabled path, while
+    host when disabled — the interpreter loops hoist the recording flag
+    once per run and {!Recorder.tick} is never called on the disabled
+    path, while
     {!sample_now} itself allocates nothing (columns are pre-sized at
     {!enable} time). test/test_timeseries.ml pins the mechanics and the
     zero-allocation property; the neutrality goldens hold with sampling
     on or off. *)
 
 type t = {
+  sub : Substrate.t;  (** the platform substrate: time and gauges *)
   mutable enabled : bool;
-      (** the one flag the hot loops hoist and branch on *)
   mutable period_ns : int;  (** virtual-time sampling period *)
   mutable next_due : int;  (** absolute virtual time of the next sample *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable gauges : (string * (unit -> int)) list;
-      (** named platform gauges in wiring order; {!add_gauge} replaces
-          by name so re-created components (a second DBT engine on the
-          same SoC) re-bind their columns instead of duplicating them *)
   mutable cur_phase : int;
       (** phase code in effect; recorded with every row *)
   (* columnar ring: one pre-sized int array per column, no per-sample
@@ -37,7 +35,7 @@ type t = {
      code; gauge columns follow in wiring order. *)
   mutable cap : int;
   mutable names : string array;
-  mutable gfns : (unit -> int) array;  (** baked at {!enable} *)
+  mutable gauges : Substrate.gauge array;  (** baked at {!enable} *)
   mutable cols : int array array;
   mutable head : int;  (** next write slot *)
   mutable total : int;  (** rows sampled since enable (>= retained) *)
@@ -48,24 +46,10 @@ let ncols_builtin = 2
 let default_cap = 1 lsl 14
 let default_period_ns = 100_000 (* 100 us of virtual time *)
 
-let create () =
-  { enabled = false; period_ns = default_period_ns; next_due = max_int;
-    now = (fun () -> 0); gauges = []; cur_phase = 0; cap = 0;
-    names = [||]; gfns = [||]; cols = [||]; head = 0; total = 0 }
-
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-let null = create ()
-
-(** [add_gauge t name f] wires gauge [name]. If a gauge of that name is
-    already wired its closure is replaced in place (keeping column
-    order); otherwise it is appended. Must happen before {!enable} —
-    columns are baked there. *)
-let add_gauge t name f =
-  if List.mem_assoc name t.gauges then
-    t.gauges <-
-      List.map (fun (n, g) -> if n = name then (n, f) else (n, g)) t.gauges
-  else t.gauges <- t.gauges @ [ (name, f) ]
+let create sub =
+  { sub; enabled = false; period_ns = default_period_ns; next_due = max_int;
+    cur_phase = 0; cap = 0; names = [||]; gauges = [||]; cols = [||];
+    head = 0; total = 0 }
 
 (** [sample_now t] records one row unconditionally (used for the
     baseline row at {!enable}, forced phase-boundary rows and the final
@@ -74,23 +58,18 @@ let sample_now t =
   if t.enabled then begin
     let i = t.head in
     let cols = t.cols in
-    let now = t.now () in
+    let now = t.sub.Substrate.now () in
     (Array.unsafe_get cols 0).(i) <- now;
     (Array.unsafe_get cols 1).(i) <- t.cur_phase;
-    let gfns = t.gfns in
-    for c = 0 to Array.length gfns - 1 do
+    let gauges = t.gauges in
+    for c = 0 to Array.length gauges - 1 do
       (Array.unsafe_get cols (c + ncols_builtin)).(i) <-
-        (Array.unsafe_get gfns c) ()
+        (Array.unsafe_get gauges c).Substrate.read ()
     done;
     t.head <- (if i + 1 = t.cap then 0 else i + 1);
     t.total <- t.total + 1;
     t.next_due <- now + t.period_ns
   end
-
-(** [tick t] — the hot-loop probe: samples one row when the period has
-    elapsed. Callers hoist [t.enabled] and only call this while
-    sampling is on, so the disabled path carries no closure call. *)
-let tick t = if t.enabled && t.now () >= t.next_due then sample_now t
 
 (** [phase t code] marks a phase boundary: forces a row closing the
     current phase's epoch, then switches the recorded phase to [code].
@@ -100,26 +79,29 @@ let phase t code =
   t.cur_phase <- code
 
 (** [enable ?cap ?period_ns t] starts sampling from a clean slate: bakes
-    the wired gauges into columns, allocates the ring ([cap] rows,
-    default 2^14) and records the baseline row. [period_ns] is the
-    virtual-time sampling period (default 100 us). *)
+    the substrate's sampler gauges into columns, allocates the ring
+    ([cap] rows, default 2^14) and records the baseline row.
+    [period_ns] is the virtual-time sampling period (default 100 us). *)
 let enable ?(cap = default_cap) ?(period_ns = default_period_ns) t =
   let cap = max 2 cap in
   t.cap <- cap;
   t.period_ns <- max 1 period_ns;
+  t.gauges <- Substrate.gauges t.sub Substrate.sampler_bit;
   t.names <-
-    Array.of_list ("t_ns" :: "phase" :: List.map fst t.gauges);
-  t.gfns <- Array.of_list (List.map snd t.gauges);
+    Array.append [| "t_ns"; "phase" |]
+      (Array.map (fun g -> g.Substrate.name) t.gauges);
   t.cols <- Array.init (Array.length t.names) (fun _ -> Array.make cap 0);
   t.head <- 0;
   t.total <- 0;
   t.cur_phase <- 0;
   t.enabled <- true;
+  Substrate.set_live t.sub Substrate.sampler_bit true;
   sample_now t
 
 let disable t =
   t.enabled <- false;
-  t.next_due <- max_int
+  t.next_due <- max_int;
+  Substrate.set_live t.sub Substrate.sampler_bit false
 
 (* --------------------------- consumption ----------------------------- *)
 

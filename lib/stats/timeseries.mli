@@ -7,25 +7,23 @@
     attribution ledger, the [--timeseries] export, the run manifest —
     read whole columns back and work on row deltas.
 
-    Sampling is simulation-neutral (gauges are read-only closures over
-    model counters) and near-free when disabled: the interpreter loops
-    hoist [enabled] once per run, and {!sample_now} allocates nothing.
-    test/test_timeseries.ml pins the mechanics. *)
+    The gauges and the clock are the platform {!Substrate}'s, and the
+    producers reach the sampler through its {!Recorder}. Sampling is
+    simulation-neutral (gauges are read-only closures over model
+    counters) and near-free when disabled: the interpreter loops hoist
+    the recording flag once per run, and {!sample_now} allocates
+    nothing. test/test_timeseries.ml pins the mechanics. *)
 
 type t = {
+  sub : Substrate.t;  (** the platform substrate: time and gauges *)
   mutable enabled : bool;
-      (** the one flag the hot loops hoist and branch on *)
   mutable period_ns : int;  (** virtual-time sampling period *)
   mutable next_due : int;  (** absolute virtual time of the next sample *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable gauges : (string * (unit -> int)) list;
-      (** named platform gauges in wiring order *)
   mutable cur_phase : int;
       (** phase code in effect; recorded with every row *)
   mutable cap : int;
   mutable names : string array;
-  mutable gfns : (unit -> int) array;
+  mutable gauges : Substrate.gauge array;
   mutable cols : int array array;
   mutable head : int;
   mutable total : int;  (** rows sampled since enable (>= retained) *)
@@ -34,29 +32,16 @@ type t = {
 val default_cap : int
 val default_period_ns : int
 
-val create : unit -> t
-
-(** Shared always-disabled instance (the pre-wiring default, like
-    {!Trace.null}). Never enable it. *)
-val null : t
-
-(** [add_gauge t name f] wires gauge [name]. Replaces in place if the
-    name is already wired (keeping column order), else appends. Must
-    happen before {!enable}. *)
-val add_gauge : t -> string -> (unit -> int) -> unit
+(** [create sub] — a disabled sampler over substrate [sub]. *)
+val create : Substrate.t -> t
 
 (** [enable ?cap ?period_ns t] starts sampling from a clean slate: bakes
-    the wired gauges into columns, allocates the ring ([cap] rows,
-    default 2^14) and records the baseline row. [period_ns] is the
-    virtual-time sampling period (default 100 us). *)
+    the substrate's sampler gauges into columns, allocates the ring
+    ([cap] rows, default 2^14) and records the baseline row.
+    [period_ns] is the virtual-time sampling period (default 100 us). *)
 val enable : ?cap:int -> ?period_ns:int -> t -> unit
 
 val disable : t -> unit
-
-(** [tick t] — the hot-loop probe: samples one row when the period has
-    elapsed. Callers hoist [t.enabled] and only call this while
-    sampling is on. *)
-val tick : t -> unit
 
 (** [sample_now t] records one row unconditionally (baseline, forced
     phase boundaries, final flush). Allocation-free; no-op when

@@ -10,10 +10,14 @@
     (plus any platform probes, e.g. per-core busy cycles) so per-phase
     deltas can be tabulated.
 
+    Events arrive through the platform's {!Recorder}, the substrate
+    every producer calls; this module keeps the ring, the phase marks
+    and the exporters.
+
     Cost discipline: recording is {e simulation-neutral} (no simulated
     cycles are ever charged here) and near-free on the host when
-    disabled — every emission site guards on the flat [enabled] flag and
-    [emit] allocates nothing (events live in pre-sized int arrays; the
+    disabled — every emission site guards on the substrate's flag word
+    and [emit] allocates nothing (events live in pre-sized int arrays; the
     ring drops the oldest events when full, while per-kind counters keep
     counting everything). test/test_neutrality.ml pins the neutrality;
     test/test_trace.ml pins the event stream itself. *)
@@ -49,19 +53,13 @@ let kind_name = function
   | 10 -> "form"
   | _ -> "?"
 
-let kind_of_name = function
-  | "retire" -> Some ev_retire
-  | "read" -> Some ev_read
-  | "write" -> Some ev_write
-  | "irq-raise" -> Some ev_irq_raise
-  | "irq-deliver" -> Some ev_irq_deliver
-  | "power" -> Some ev_power
-  | "translate" -> Some ev_translate
-  | "chain" -> Some ev_chain
-  | "invalidate" -> Some ev_invalidate
-  | "phase" -> Some ev_phase
-  | "form" -> Some ev_form
-  | _ -> None
+(* the inverse of [kind_name]: one vocabulary table *)
+let kind_of_name n =
+  let rec find k =
+    if k >= nkinds then None else if kind_name k = n then Some k
+    else find (k + 1)
+  in
+  find 0
 
 let all_kinds = (1 lsl nkinds) - 1
 
@@ -99,14 +97,12 @@ let core_name = function 0 -> "cpu" | 1 -> "m3" | _ -> "-"
 (* --------------------------- recorder -------------------------------- *)
 
 type t = {
+  sub : Substrate.t;  (** the platform substrate: time and probes *)
   mutable enabled : bool;
-      (** the one flag every hot emission site guards on *)
   mutable filter : int;  (** bitmask over kinds, checked inside {!emit} *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable probes : (string * (unit -> int)) list;
-      (** named platform gauges sampled at phase marks (busy cycles,
-          cache misses, ...); wired by [Soc.create] *)
+  mutable probes : Substrate.gauge array;
+      (** the substrate gauges sampled at phase marks (busy cycles,
+          cache misses, ...); baked at {!enable} *)
   (* ring buffer: parallel pre-sized arrays, no per-event allocation *)
   mutable cap : int;
   mutable q_time : int array;
@@ -125,16 +121,11 @@ type t = {
 
 let default_cap = 1 lsl 18
 
-let create () =
-  { enabled = false; filter = all_kinds; now = (fun () -> 0); probes = [];
+let create sub =
+  { sub; enabled = false; filter = all_kinds; probes = [||];
     cap = 1; q_time = [| 0 |]; q_kind = [| 0 |]; q_a = [| 0 |];
     q_b = [| 0 |]; head = 0; total = 0; counts = Array.make nkinds 0;
     rd_miss = 0; wr_miss = 0; marks = [] }
-
-(** Shared always-disabled instance, the default wiring target for
-    components built before their platform hands them the real
-    recorder. Never enable it. *)
-let null = create ()
 
 (** [reset t] forgets all recorded events, counters and phase marks but
     keeps configuration (capacity, filter, wiring). *)
@@ -163,12 +154,17 @@ let enable ?cap ?filter t =
   | Some c -> set_capacity t c
   | None -> if t.cap = 1 then set_capacity t default_cap else reset t);
   (match filter with Some f -> t.filter <- f | None -> t.filter <- all_kinds);
-  t.enabled <- true
+  t.probes <- Substrate.gauges t.sub Substrate.trace_bit;
+  t.enabled <- true;
+  Substrate.set_live t.sub Substrate.trace_bit true
 
-let disable t = t.enabled <- false
+let disable t =
+  t.enabled <- false;
+  Substrate.set_live t.sub Substrate.trace_bit false
 
-(** [emit t ~core kind a b] records one event. Callers must guard with
-    [t.enabled] so the disabled hot path stays one load + branch. *)
+(** [emit t ~core kind a b] records one event. Producers reach it
+    through {!Recorder.event}, which guards on the substrate's flag
+    word, so the disabled hot path stays one load + branch. *)
 let emit t ~core kind a b =
   if t.filter land (1 lsl kind) <> 0 then begin
     Array.unsafe_set t.counts kind (Array.unsafe_get t.counts kind + 1);
@@ -176,7 +172,7 @@ let emit t ~core kind a b =
       if kind = ev_read then t.rd_miss <- t.rd_miss + 1
       else if kind = ev_write then t.wr_miss <- t.wr_miss + 1;
     let i = t.head in
-    Array.unsafe_set t.q_time i (t.now ());
+    Array.unsafe_set t.q_time i (t.sub.Substrate.now ());
     Array.unsafe_set t.q_kind i (kind lor (core lsl 8));
     Array.unsafe_set t.q_a i a;
     Array.unsafe_set t.q_b i b;
@@ -187,21 +183,20 @@ let emit t ~core kind a b =
 (* ------------------------ phase snapshots ---------------------------- *)
 
 let snapshot t =
-  let probes = List.map (fun (_, f) -> f ()) t.probes in
-  Array.of_list
-    (Array.to_list t.counts @ [ t.rd_miss; t.wr_miss ] @ probes)
+  let probes = Array.map (fun g -> g.Substrate.read ()) t.probes in
+  Array.concat [ t.counts; [| t.rd_miss; t.wr_miss |]; probes ]
 
 (** Column labels matching {!snapshot} order. *)
 let snapshot_labels t =
   List.init nkinds kind_name @ [ "rd-miss"; "wr-miss" ]
-  @ List.map fst t.probes
+  @ Array.to_list (Array.map (fun g -> g.Substrate.name) t.probes)
 
 (** [phase t code] marks a phase boundary: emits an [ev_phase] event and
     snapshots every counter and probe. No-op when disabled. *)
 let phase t code =
   if t.enabled then begin
     emit t ~core:core_none ev_phase code 0;
-    t.marks <- (code, t.now (), snapshot t) :: t.marks
+    t.marks <- (code, t.sub.Substrate.now (), snapshot t) :: t.marks
   end
 
 (** [phase_rows t] — per-phase deltas, oldest first: each row is

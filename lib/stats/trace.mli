@@ -7,10 +7,14 @@
     snapshots its counters (plus any platform probes) so per-phase
     deltas can be tabulated.
 
+    Events arrive through the platform's {!Recorder}, the substrate
+    every producer calls; this module keeps the ring, the phase marks
+    and the exporters.
+
     Cost discipline: recording is {e simulation-neutral} (no simulated
     cycles are ever charged here) and near-free on the host when
-    disabled — every emission site guards on the flat [enabled] flag and
-    [emit] allocates nothing. test/test_neutrality.ml pins the
+    disabled — every emission site guards on the substrate's flag word
+    and [emit] allocates nothing. test/test_neutrality.ml pins the
     neutrality; test/test_trace.ml pins the event stream itself. *)
 
 (* ------------------------- event kinds ------------------------------- *)
@@ -68,14 +72,12 @@ val core_name : int -> string
 (* --------------------------- recorder -------------------------------- *)
 
 type t = {
+  sub : Substrate.t;  (** the platform substrate: time and probes *)
   mutable enabled : bool;
-      (** the one flag every hot emission site guards on *)
   mutable filter : int;  (** bitmask over kinds, checked inside {!emit} *)
-  mutable now : unit -> int;
-      (** simulated time source (ns); wired by [Soc.create] *)
-  mutable probes : (string * (unit -> int)) list;
-      (** named platform gauges sampled at phase marks (busy cycles,
-          cache misses, ...); wired by [Soc.create] *)
+  mutable probes : Substrate.gauge array;
+      (** the substrate gauges sampled at phase marks (busy cycles,
+          cache misses, ...); baked at {!enable} *)
   (* ring buffer: parallel pre-sized arrays, no per-event allocation *)
   mutable cap : int;
   mutable q_time : int array;
@@ -92,12 +94,8 @@ type t = {
           (counts @ rd_miss @ wr_miss @ probe values) *)
 }
 
-val create : unit -> t
-
-(** Shared always-disabled instance, the default wiring target for
-    components built before their platform hands them the real
-    recorder. Never enable it. *)
-val null : t
+(** [create sub] — a disabled recorder over substrate [sub]. *)
+val create : Substrate.t -> t
 
 (** [reset t] forgets all recorded events, counters and phase marks but
     keeps configuration (capacity, filter, wiring). *)
@@ -110,8 +108,9 @@ val enable : ?cap:int -> ?filter:int -> t -> unit
 
 val disable : t -> unit
 
-(** [emit t ~core kind a b] records one event. Callers must guard with
-    [t.enabled] so the disabled hot path stays one load + branch. *)
+(** [emit t ~core kind a b] records one event. Producers reach it
+    through {!Recorder.event}, which guards on the substrate's flag
+    word, so the disabled hot path stays one load + branch. *)
 val emit : t -> core:int -> int -> int -> int -> unit
 
 (** [phase t code] marks a phase boundary: emits an [ev_phase] event and

@@ -150,6 +150,86 @@ let test_concurrent_did_overlap () =
     true
     (ark.Ark_run.ls_max_skew_ns <= 20_000 + 10_000)
 
+(* ----------------- concurrent cores, recorders on -------------------- *)
+
+module Trace = Tk_stats.Trace
+module Ts = Tk_stats.Timeseries
+module Span = Tk_stats.Span
+module Attribution = Tk_energy.Attribution
+module Manifest = Tk_harness.Run_manifest
+
+type recorded = {
+  r_digest : string;  (** manifest metrics digest *)
+  r_phases : int;  (** phases the energy ledger charged *)
+  r_trace : int list * int * int;
+  r_spans : string;  (** the span JSONL *)
+}
+
+(* one concurrent cycle with all three recorders on, reduced the way
+   [arksim run --manifest --trace --spans] reduces it *)
+let recorded_concurrent ~domains =
+  let ark = Ark_run.create ~quantum:20_000 () in
+  let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
+  Trace.enable soc.Soc.trace;
+  Ts.enable soc.Soc.sampler;
+  Span.enable soc.Soc.spans;
+  (match Ark_run.concurrent_cycle ~domains ark with
+  | `Ok -> ()
+  | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r);
+  let ts = soc.Soc.sampler in
+  Ts.sample_now ts;
+  let ledger =
+    Attribution.integrate ts
+      ~cores:[ ("a9", Soc.a9_params); ("m3", Soc.m3_params) ]
+      ~active:"m3"
+  in
+  let phases = Attribution.phases ledger in
+  let rows = Ts.rows ts and labels = Ts.labels ts in
+  let first = rows.(0) and last = rows.(Array.length rows - 1) in
+  let counters =
+    Manifest.Obj
+      (List.init (Array.length labels - 2) (fun i ->
+           (labels.(i + 2), Manifest.Int (last.(i + 2) - first.(i + 2)))))
+  in
+  let metrics =
+    Manifest.Obj
+      [ ("window_ns", Manifest.Int (last.(0) - first.(0)));
+        ( "phase_energy_uj",
+          Manifest.Obj
+            (List.map
+               (fun ph ->
+                 ( string_of_int ph,
+                   Manifest.Obj
+                     (List.map
+                        (fun (c, v) -> (c, Manifest.Num v))
+                        (Attribution.phase_breakdown ledger ph)) ))
+               phases) ) ]
+  in
+  let path = Filename.temp_file "tk_spans" ".jsonl" in
+  let oc = open_out path in
+  Span.dump_jsonl oc soc.Soc.spans;
+  close_out oc;
+  let spans = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  { r_digest = Manifest.metrics_digest ~metrics ~counters;
+    r_phases = List.length phases; r_trace = Trace.digest soc.Soc.trace;
+    r_spans = spans }
+
+let test_concurrent_recorders_on () =
+  let i = recorded_concurrent ~domains:false in
+  (* the 36 device phases plus setup, suspend, sleep and resume: the
+     lane's phase marks read its own gauges at the mark, so phases
+     shorter than a quantum still carry energy *)
+  Alcotest.(check int) "every phase charged" 40 i.r_phases;
+  Alcotest.(check bool) "spans recorded" true (i.r_spans <> "");
+  for k = 1 to 3 do
+    let d = recorded_concurrent ~domains:true in
+    let label what = Printf.sprintf "domains run %d: %s = interleave" k what in
+    Alcotest.(check string) (label "manifest digest") i.r_digest d.r_digest;
+    Alcotest.(check bool) (label "trace digest") true (i.r_trace = d.r_trace);
+    Alcotest.(check bool) (label "span stream") true (i.r_spans = d.r_spans)
+  done
+
 (* ------------------------ synthetic lane units ----------------------- *)
 
 (* a scripted lane: per the lane contract it advances its clock in
@@ -344,7 +424,9 @@ let () =
         [ Alcotest.test_case "interleave = domains" `Slow
             test_concurrent_interleave_eq_domains;
           Alcotest.test_case "workload overlapped, skew bounded" `Slow
-            test_concurrent_did_overlap ] );
+            test_concurrent_did_overlap;
+          Alcotest.test_case "interleave = domains, recorders on" `Slow
+            test_concurrent_recorders_on ] );
       ( "driver units",
         [ Alcotest.test_case "commit order (time, lane, arrival)" `Quick
             test_commit_order;

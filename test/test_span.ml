@@ -44,9 +44,9 @@ let test_kind_vocabulary () =
 
 (* a tracer on a synthetic clock, driven by raw phase codes *)
 let make_tracer () =
-  let t = Span.create () in
   let now = ref 0 in
-  t.Span.now <- (fun () -> !now);
+  let rc = Tk_stats.Recorder.create ~now:(fun () -> !now) () in
+  let t = rc.Tk_stats.Recorder.spans in
   Span.enable t;
   (t, now)
 
@@ -118,9 +118,15 @@ let test_disabled_is_empty () =
 
 (* -------------------------- reconciliation --------------------------- *)
 
-let traced_run ?(cycles = 2) ?(superblock = true) () =
+(* [others] also turns the flight recorder and the sampler on: the span
+   stream must not depend on which other consumers are on *)
+let traced_run ?(cycles = 2) ?(superblock = true) ?(others = false) () =
   let ark = Ark_run.create ~superblock () in
   let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
+  if others then begin
+    Tk_stats.Trace.enable soc.Soc.trace;
+    Tk_stats.Timeseries.enable soc.Soc.sampler
+  end;
   Span.enable soc.Soc.spans;
   for _ = 1 to cycles do
     ignore (Ark_run.suspend_resume_cycle ark)
@@ -303,7 +309,12 @@ let test_jsonl_valid () =
         lines;
       (* one line per closed span: every allocated span is closed once
          the cycle has fully unwound *)
-      check "one line per span" (Span.spans sp) (List.length lines))
+      check "one line per span" (Span.spans sp) (List.length lines);
+      let with_others = traced_run ~cycles:1 ~others:true () in
+      with_temp_dump
+        (fun oc -> Span.dump_jsonl oc with_others)
+        (fun s' ->
+          checkb "byte-identical with trace and sampler on" true (s = s')))
 
 let test_perfetto_valid () =
   let ark = Ark_run.create ~superblock:true () in

@@ -28,24 +28,29 @@ module Core = Tk_machine.Core
 
 (* ------------------------ synthetic sampler -------------------------- *)
 
+(* a sampler gauge registered through the substrate *)
+let gauge ts name f =
+  Tk_stats.Substrate.gauge ts.Ts.sub ~readers:Tk_stats.Substrate.sampler_bit
+    name f
+
 let synthetic () =
   let now = ref 0 in
   let g1 = ref 0 and g2 = ref 0 in
-  let ts = Ts.create () in
-  ts.Ts.now <- (fun () -> !now);
-  Ts.add_gauge ts "g1" (fun () -> !g1);
-  Ts.add_gauge ts "g2" (fun () -> !g2);
-  (ts, now, g1, g2)
+  let rc = Tk_stats.Recorder.create ~now:(fun () -> !now) () in
+  let ts = rc.Tk_stats.Recorder.sampler in
+  gauge ts "g1" (fun () -> !g1);
+  gauge ts "g2" (fun () -> !g2);
+  (rc, ts, now, g1, g2)
 
 let test_period () =
-  let ts, now, g1, _ = synthetic () in
+  let rc, ts, now, g1, _ = synthetic () in
   Ts.enable ~cap:64 ~period_ns:100 ts;
   (* baseline row at enable *)
   Alcotest.(check int) "baseline row" 1 (Ts.retained ts);
   for t = 1 to 1000 do
     now := t;
     incr g1;
-    Ts.tick ts
+    Tk_stats.Recorder.tick rc
   done;
   (* one row per full period elapsed, plus the baseline *)
   Alcotest.(check int) "one row per period" 11 (Ts.retained ts);
@@ -57,7 +62,7 @@ let test_period () =
   Alcotest.(check int) "gauge sampled at its instant" 100 rows.(1).(gi)
 
 let test_phase_boundary () =
-  let ts, now, _, _ = synthetic () in
+  let _, ts, now, _, _ = synthetic () in
   Ts.enable ~cap:64 ~period_ns:1000 ts;
   now := 10;
   Ts.phase ts 42;
@@ -73,9 +78,9 @@ let test_phase_boundary () =
     rows.(3).(1)
 
 let test_gauge_rebind () =
-  let ts, _, _, _ = synthetic () in
+  let _, ts, _, _, _ = synthetic () in
   (* re-wiring an existing name replaces the closure, keeps the order *)
-  Ts.add_gauge ts "g1" (fun () -> 777);
+  gauge ts "g1" (fun () -> 777);
   Ts.enable ~cap:8 ts;
   Alcotest.(check (array string)) "labels keep wiring order"
     [| "t_ns"; "phase"; "g1"; "g2" |]
@@ -84,11 +89,11 @@ let test_gauge_rebind () =
   Alcotest.(check int) "replaced closure is live" 777 (Ts.rows ts).(0).(gi)
 
 let test_wrap () =
-  let ts, now, _, _ = synthetic () in
+  let rc, ts, now, _, _ = synthetic () in
   Ts.enable ~cap:16 ~period_ns:10 ts;
   for t = 1 to 1000 do
     now := t;
-    Ts.tick ts
+    Tk_stats.Recorder.tick rc
   done;
   Alcotest.(check int) "retained bounded by cap" 16 (Ts.retained ts);
   Alcotest.(check bool) "older rows dropped" true (Ts.dropped ts > 0);
@@ -113,14 +118,14 @@ let minor_delta f =
   Gc.minor_words () -. a
 
 let test_zero_alloc () =
-  let ts, now, _, _ = synthetic () in
+  let rc, ts, now, _, _ = synthetic () in
   let baseline = minor_delta (fun () -> ()) in
   (* disabled tick: nothing but the hoisted-bool test *)
   let disabled =
     minor_delta (fun () ->
         for t = 1 to 100_000 do
           now := t;
-          Ts.tick ts
+          Tk_stats.Recorder.tick rc
         done)
   in
   Alcotest.(check (float 0.0)) "disabled tick allocates nothing" baseline
@@ -241,10 +246,16 @@ let test_reconcile_wrapped () =
    same way arksim's --manifest path builds them. The digest pins the
    schema AND the simulated values: it moves iff a metric, a gauge, or
    the simulation itself changes. *)
-let ark_manifest_sections () =
+let ark_manifest_sections ?(others = false) () =
   let ark = Ark_run.create () in
   let soc = (Ark_run.plat ark).Tk_drivers.Platform.soc in
   let ts = soc.Soc.sampler in
+  (* [others]: the flight recorder and the span tracer on too — the
+     sampler's rows must not depend on which other consumers are on *)
+  if others then begin
+    Tk_stats.Trace.enable soc.Soc.trace;
+    Tk_stats.Span.enable soc.Soc.spans
+  end;
   Ts.enable ts;
   (match Ark_run.suspend_resume_cycle ark with
   | `Ok -> ()
@@ -278,12 +289,17 @@ let ark_manifest_sections () =
 let golden_manifest_digest = "1b8db7b8db6ad1bc"
 
 let test_manifest_digest () =
-  let metrics, counters = ark_manifest_sections () in
-  let got = Manifest.metrics_digest ~metrics ~counters in
-  if got <> golden_manifest_digest then
-    Alcotest.failf
-      "manifest digest drifted: golden %s, got %s (TK_CAPTURE=1 to recapture)"
-      golden_manifest_digest got
+  List.iter
+    (fun others ->
+      let metrics, counters = ark_manifest_sections ~others () in
+      let got = Manifest.metrics_digest ~metrics ~counters in
+      if got <> golden_manifest_digest then
+        Alcotest.failf
+          "manifest digest drifted%s: golden %s, got %s (TK_CAPTURE=1 to \
+           recapture)"
+          (if others then " with trace and spans on" else "")
+          golden_manifest_digest got)
+    [ false; true ]
 
 (* --------------------------- report compare -------------------------- *)
 

@@ -32,15 +32,25 @@ let digest tr =
   let counts, total, hash = Trace.digest tr in
   { counts; total; hash }
 
-let native_trace ?cap ?filter () =
+(* [others] also turns the span tracer and the sampler on: the event
+   stream must not depend on which other consumers are on *)
+let others_on on (soc : Tk_machine.Soc.t) =
+  if on then begin
+    Tk_stats.Span.enable soc.Tk_machine.Soc.spans;
+    Tk_stats.Timeseries.enable soc.Tk_machine.Soc.sampler
+  end
+
+let native_trace ?cap ?filter ?(others = false) () =
   let nat = Native_run.create () in
+  others_on others nat.Native_run.plat.Tk_drivers.Platform.soc;
   (* enable after boot: the trace covers exactly one cycle *)
   Trace.enable ?cap ?filter (Native_run.trace nat);
   ignore (Native_run.suspend_resume_cycle nat);
   Native_run.trace nat
 
-let ark_trace () =
+let ark_trace ?(others = false) () =
   let ark = Ark_run.create () in
+  others_on others (Ark_run.plat ark).Tk_drivers.Platform.soc;
   Trace.enable (Ark_run.trace ark);
   (match Ark_run.suspend_resume_cycle ark with
   | `Ok -> ()
@@ -65,10 +75,14 @@ let check_digest label golden got =
       label (pp golden) (pp got)
 
 let test_golden_native () =
-  check_digest "native cycle" golden_native (digest (native_trace ()))
+  check_digest "native cycle" golden_native (digest (native_trace ()));
+  check_digest "native cycle, spans and sampler on" golden_native
+    (digest (native_trace ~others:true ()))
 
 let test_golden_ark () =
-  check_digest "ARK cycle" golden_ark (digest (ark_trace ()))
+  check_digest "ARK cycle" golden_ark (digest (ark_trace ()));
+  check_digest "ARK cycle, spans and sampler on" golden_ark
+    (digest (ark_trace ~others:true ()))
 
 (* ------------------------ recorder mechanics ------------------------- *)
 
