@@ -29,6 +29,15 @@ module Translator = Tk_dbt.Translator
 module Power = Tk_energy.Power_model
 module Soc = Tk_machine.Soc
 
+(* The one range check of an integer flag: a value outside [lo, hi]
+   exits 2 with a message naming the command and the flag. *)
+let check_flag cmd flag ?(hi = max_int) ~lo v =
+  if v < lo || v > hi then begin
+    if hi = max_int then Printf.eprintf "%s: --%s must be >= %d\n" cmd flag lo
+    else Printf.eprintf "%s: --%s must be in %d..%d\n" cmd flag lo hi;
+    exit 2
+  end
+
 let layout_of_string = function
   | "v3.16" -> Ok Tk_kernel.Variants.v3_16
   | "v4.4" -> Ok Tk_kernel.Layout.v4_4
@@ -366,10 +375,14 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
        superblock\n";
     exit 2
   end;
-  if quantum < 0 then begin
-    Printf.eprintf "run: --quantum must be >= 0\n";
-    exit 2
-  end;
+  let check = check_flag "run" in
+  check "cycles" ~lo:0 cycles;
+  check "sleep-ms" ~lo:0 sleep_ms;
+  check "glitch-every" ~lo:0 glitch_every;
+  Option.iter (check "m3-cache" ~lo:1 ~hi:65536) m3_cache;
+  check "quantum" ~lo:0 quantum;
+  Option.iter (check "trace-cap" ~lo:1 ~hi:(1 lsl 24)) trace_cap;
+  Option.iter (check "sample-every" ~lo:1) sample_every;
   if concurrent <> `Off && (mode = `Native || resume_native) then begin
     Printf.eprintf
       "run: --concurrent-cores requires an offloaded mode without \
@@ -552,6 +565,8 @@ module Campaign = Tk_campaign.Campaign
 
 (* exit codes: 0 clean, 1 any task error or fuzz divergence *)
 let sweep_cmd kind tasks jobs seed out =
+  check_flag "sweep" "tasks" ~lo:0 tasks;
+  check_flag "sweep" "jobs" ~lo:1 jobs;
   let cfg =
     { (Campaign.default_config kind) with Campaign.tasks; jobs; seed }
   in
@@ -578,6 +593,13 @@ module Arrival = Tk_fleet.Arrival
 (* exit codes: 0 clean, 1 any shard error (first one is named) *)
 let fleet_cmd devices arrival jobs seed duration_ms gap_ms shard_cap reversed
     quantum out =
+  let check = check_flag "fleet" in
+  check "devices" ~lo:0 devices;
+  check "jobs" ~lo:1 jobs;
+  check "duration-ms" ~lo:0 duration_ms;
+  check "gap-ms" ~lo:1 gap_ms;
+  check "shard-cap" ~lo:1 shard_cap;
+  check "quantum" ~lo:0 quantum;
   let cfg =
     { Fleet.default_config with
       Fleet.devices; arrival; jobs; seed; duration_ms;
@@ -603,6 +625,7 @@ let fleet_cmd devices arrival jobs seed duration_ms gap_ms shard_cap reversed
 
 (* exit codes: 0 the kernel end states agree, 1 they differ *)
 let compare_cmd cycles =
+  check_flag "compare" "cycles" ~lo:0 cycles;
   let nat = Native_run.create () in
   let ark = Ark_run.create () in
   for _ = 1 to cycles do

@@ -58,7 +58,7 @@ type t = {
           in a saved context or on the stack (call return sites, svc
           resume points, block starts) — the map fallback migration uses
           to rewrite code-cache addresses (§5.3) *)
-  host_decode : Exec.decoded array;
+  mutable host_decode : Exec.decoded array;
       (** dense pre-decoded code cache, indexed by
           [(addr - Soc.code_cache_base) / 4]: each slot holds the host
           instruction and its {!Exec.compile}d closure, populated at
@@ -67,8 +67,9 @@ type t = {
           the physically distinguished {!Exec.undecoded} sentinel rather
           than an option, so the per-instruction fetch is a pointer
           compare with no [Some] indirection. Host-side speed only — the
-          simulated charges are unchanged. *)
-  block_start : bool array;
+          simulated charges are unchanged. Like the other per-word
+          arrays below it is grown by {!reserve}, never shrunk. *)
+  mutable block_start : bool array;
       (** dense membership set mirroring [block_starts], same indexing
           as [host_decode] — the hot loop's IRQ-window probe *)
   mutable cur_pc : int;
@@ -94,7 +95,7 @@ type t = {
   (* hot-block profiler (host-side observability; simulated charges are
      unaffected whether it is on or off) *)
   mutable profile : bool;
-  block_exec : int array;
+  mutable block_exec : int array;
       (** per-block execution count, same dense indexing as
           [block_start]; bumped when the hot loop enters a block start *)
   block_dispatch : (int, int) Hashtbl.t;
@@ -116,7 +117,7 @@ type t = {
           terminal) — the chain statistics trace formation walks *)
   formed : (int, unit) Hashtbl.t;
       (** guest heads already considered for formation (one-shot) *)
-  fuse_next : bool array;
+  mutable fuse_next : bool array;
       (** same dense indexing as [host_decode]: host word at [i] issues
           fused with the word at [i+1] (Table 4 macro-op idioms) *)
   guest_cover : Bytes.t;
@@ -149,7 +150,7 @@ type t = {
           interpretation) to never store into translated code ranges.
           Derived from the {e pristine} image, so a whole-cache flush —
           which only ever follows guest self-modification — drops it. *)
-  probe_exempt : bool array;
+  mutable probe_exempt : bool array;
       (** same dense host-word indexing as [host_decode]: translated
           code emitted entirely from SMC-clean guest words; its stores
           skip the cover-map probe *)
@@ -193,6 +194,37 @@ let dummy_cb () =
 let in_cache t addr =
   addr >= Soc.code_cache_base && addr < t.cursor
 
+(* The five per-host-word arrays ([host_decode], [block_start],
+   [block_exec], [fuse_next], [probe_exempt]) start at [initial_words]
+   and at least double in {!reserve}, up to the code cache's high-water
+   mark plus one slack word. The run loop indexes them unchecked; two
+   invariants keep every index in bounds:
+   - each array is longer than the high-water mark, in words, so the
+     fall-through fetch after the last emitted word reads the slack
+     slot;
+   - every slot at or past the cursor is {!Exec.undecoded}, and
+     {!decode_host} refuses an address at or past the cursor, so no
+     instruction ever runs from the slack slot and nothing falls
+     through beyond it. *)
+let initial_words = 1024
+let cache_words = Soc.code_cache_size / 4
+
+let reserve t words =
+  let n = Array.length t.host_decode in
+  if words >= n then begin
+    let n' = min (cache_words + 1) (max (words + 1) (2 * n)) in
+    let grow a fill =
+      let b = Array.make n' fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.host_decode <- grow t.host_decode Exec.undecoded;
+    t.block_start <- grow t.block_start false;
+    t.block_exec <- grow t.block_exec 0;
+    t.fuse_next <- grow t.fuse_next false;
+    t.probe_exempt <- grow t.probe_exempt false
+  end
+
 let dummy_env : Exec.env =
   { Exec.load = (fun _ _ -> 0); store = (fun _ _ _ -> ());
     svc = (fun _ _ -> ()); wfi = (fun _ -> ()); irq_ret = (fun _ -> ());
@@ -205,27 +237,27 @@ let rec create ~(soc : Soc.t) ~mode () =
       cb = dummy_cb (); cursor = Soc.code_cache_base;
       block_map = Hashtbl.create 1024; block_starts = Hashtbl.create 1024;
       sites = Hashtbl.create 1024; host_points = Hashtbl.create 4096;
-      host_decode = Array.make (Soc.code_cache_size / 4) Exec.undecoded;
-      block_start = Array.make (Soc.code_cache_size / 4) false;
-      cur_pc = 0; pc_overridden = false;
+      host_decode = Array.make initial_words Exec.undecoded;
+      block_start = Array.make initial_words false;
+      cur_pc = Soc.code_cache_base; pc_overridden = false;
       chain = true; block_limit = Translator.default_block_limit;
       irq_dispatch = true; env = dummy_env;
       guest_translated = 0;
       host_emitted = 0; blocks = 0; engine_exits = 0; patches = 0;
       host_executed = 0; translate_cycles = 0; profile = false;
-      block_exec = Array.make (Soc.code_cache_size / 4) 0;
+      block_exec = Array.make initial_words 0;
       block_dispatch = Hashtbl.create 1024;
       block_size = Hashtbl.create 1024;
       superblock = false; sb_threshold = 16; sb_max_blocks = 8;
       block_succ = Hashtbl.create 1024; formed = Hashtbl.create 64;
-      fuse_next = Array.make (Soc.code_cache_size / 4) false;
+      fuse_next = Array.make initial_words false;
       guest_cover =
         Bytes.make ((Soc.page_pool_base - Soc.kernel_base) / 4) '\000';
       pending_flush = false; store = None;
       traces_formed = 0; fusions_applied = 0; cache_warm_hits = 0;
       invalidations = 0; flushes = 0;
       sb_certify = None; certify_rejects = 0; smc_map = None;
-      probe_exempt = Array.make (Soc.code_cache_size / 4) false;
+      probe_exempt = Array.make initial_words false;
       probes_elided = 0; deadline_ns = max_int; span_cut = -1 }
   in
   let m3 = soc.Soc.m3 in
@@ -370,6 +402,10 @@ and install t gpc (b : Translator.block) =
   t.translate_cycles <- t.translate_cycles + cost;
   charge t cost;
   let h = t.cursor in
+  let top = h + (4 * List.length b.Translator.b_emits) in
+  if top >= Soc.code_cache_base + Soc.code_cache_size then
+    raise (Host_error "code cache full");
+  reserve t ((top - Soc.code_cache_base) asr 2);
   List.iter
     (fun e ->
       let a = t.cursor in
@@ -391,8 +427,6 @@ and install t gpc (b : Translator.block) =
       t.cursor <- t.cursor + 4;
       t.host_emitted <- t.host_emitted + 1)
     b.Translator.b_emits;
-  if t.cursor >= Soc.code_cache_base + Soc.code_cache_size then
-    raise (Host_error "code cache full");
   Hashtbl.replace t.block_map gpc h;
   Hashtbl.replace t.block_starts h gpc;
   t.block_start.((h - Soc.code_cache_base) asr 2) <- true;
@@ -777,6 +811,9 @@ and dispatch t cpu _code =
 and decode_host t addr =
   let cached = t.host_decode.((addr - Soc.code_cache_base) asr 2) in
   if cached != Exec.undecoded then cached
+  else if addr >= t.cursor then
+    (* only the run loop's fall-through into the slack slot gets here *)
+    raise (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" addr))
   else begin
     let w = Mem.ram_read32 t.soc.Soc.mem addr in
     let d =
@@ -854,11 +891,11 @@ let set_smc_map t ranges =
    - The boundary work lives out of line in {!block_boundary}, and the
      per-instruction retire accounting ([Core.retire] and its
      [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body register-tight. The body itself allocates nothing, but a
-     retired instruction is not allocation-free: every data-cache hit
-     goes through [Core.charge_stall] to [Clock.run_due], whose local
-     recursive closure accounts for nearly all of the ~2.3 minor words
-     allocated per simulated instruction.
+     body register-tight. A warm cycle allocates under 0.1 minor words
+     per retired instruction (test_neutrality pins this for every
+     tier): the loop body allocates nothing, and a data-cache hit's
+     [Core.charge_stall] enters the event queue only when an event is
+     due.
    - Each instruction runs as its pre-decoded slot's compiled closure
      ({!Exec.compile}), with its operands resolved at decode time.
    - A host word marked in [fuse_next] (superblock tier) makes the next

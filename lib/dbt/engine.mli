@@ -55,13 +55,16 @@ type t = {
   host_points : (int, int) Hashtbl.t;
       (** host addr -> guest addr for every point that can appear in a
           saved context or on the stack — fallback's rewrite map (§5.3) *)
-  host_decode : Exec.decoded array;
+  mutable host_decode : Exec.decoded array;
       (** dense pre-decoded code cache, indexed by
           [(addr - Soc.code_cache_base) / 4]: each slot holds the host
           instruction and its {!Exec.compile}d closure, which the hot
           loop runs; populated at emission and patch time; empty slots
-          hold the physically distinguished {!Exec.undecoded} sentinel *)
-  block_start : bool array;
+          hold the physically distinguished {!Exec.undecoded} sentinel.
+          This and the other per-word arrays ([block_start],
+          [block_exec], [fuse_next], [probe_exempt]) start small and
+          grow with the cache's high-water mark, one word past it. *)
+  mutable block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
           probed after every control transfer for the IRQ window *)
   mutable cur_pc : int;
@@ -85,7 +88,7 @@ type t = {
           (host-side observability; simulated charges are unaffected).
           Block executions ([block_exec]) are counted on every run, so
           enable it before the first run for a consistent chain rate. *)
-  block_exec : int array;
+  mutable block_exec : int array;
   block_dispatch : (int, int) Hashtbl.t;
   block_size : (int, int * int) Hashtbl.t;
   (* superblock tier (above Ark; cycle-accounted, not cycle-neutral) *)
@@ -101,7 +104,7 @@ type t = {
       (** guest block start -> always-taken successor *)
   formed : (int, unit) Hashtbl.t;
       (** guest heads already considered for formation (one-shot) *)
-  fuse_next : bool array;
+  mutable fuse_next : bool array;
       (** same dense indexing as [host_decode]: word [i] issues fused
           with word [i+1] (Table 4 macro-op idioms) *)
   guest_cover : Bytes.t;
@@ -129,7 +132,7 @@ type t = {
   mutable smc_map : Bytes.t option;
       (** SMC-clean map (same indexing as [guest_cover]); install via
           {!set_smc_map}; dropped on whole-cache flush *)
-  probe_exempt : bool array;
+  mutable probe_exempt : bool array;
       (** host words emitted from SMC-clean guest code (same indexing as
           [host_decode]): their stores skip the cover-map probe *)
   mutable probes_elided : int;

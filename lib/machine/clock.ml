@@ -154,24 +154,21 @@ let after_ t dns fn =
 
 (** [run_due t] fires every live event with [at <= now], in (at, seq)
     order — including events scheduled by the handlers themselves. *)
-let run_due t =
-  let rec go () =
-    if t.size = 0 then t.next_at <- max_int
-    else begin
-      let e = t.heap.(0) in
-      if not e.live then begin
-        pop_discard t;
-        go ()
-      end
-      else if e.at <= t.now then begin
-        pop_discard t;
-        e.fn ();
-        go ()
-      end
-      else t.next_at <- e.at
+let rec run_due t =
+  if t.size = 0 then t.next_at <- max_int
+  else begin
+    let e = t.heap.(0) in
+    if not e.live then begin
+      pop_discard t;
+      run_due t
     end
-  in
-  go ()
+    else if e.at <= t.now then begin
+      pop_discard t;
+      e.fn ();
+      run_due t
+    end
+    else t.next_at <- e.at
+  end
 
 (** [advance t dns] moves time forward by [dns] ns and fires due events. *)
 let advance t dns =

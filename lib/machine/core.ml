@@ -66,16 +66,17 @@ let charge t cycles =
 (** [charge_stall t stall] — fast path for charging a cache-access
     result: on a hit ([stall = 0]) it skips the zero-cycle bookkeeping
     and only fires platform events that are already due, which is
-    exactly what [charge t 0] does (busy counters gain 0, the
-    sub-cycle remainder is unchanged, and [Clock.advance 0] reduces to
-    [Clock.run_due]). Cycle-identical to [charge t stall], cheaper on
-    the hot hit path. *)
+    exactly what [charge t 0] does: busy counters gain 0, the sub-cycle
+    remainder is unchanged, and what is left is [Clock.advance 0], whose
+    [next_at <= now] guard enters the event queue only when an event is
+    due. Cycle-identical to [charge t stall], cheaper on the hot hit
+    path. *)
 let charge_stall t stall =
   if stall <> 0 then begin
     t.stall_cycles <- t.stall_cycles + stall;
     charge t stall
   end
-  else Clock.run_due t.clock
+  else Clock.advance t.clock 0
 
 (** [fetch_cost t addr] is the stall cost of fetching from [addr] through
     this core's cache. *)

@@ -1,17 +1,19 @@
 (** Snapshotable SoC worlds: [fork] / [restore] over a live {!Soc.t}.
 
     The fleet layer hosts thousands of device-instances per worker
-    domain. Building a fresh [Soc] (24 MB DRAM, dense decode arrays,
-    image compile, kernel boot) per instance is a million-fold
-    allocation problem; instead one live world per shard is multiplexed
-    across instances, and each instance's divergence from a shared
-    baseline is captured as a sparse, structurally-shared snapshot:
+    domain. Building a fresh [Soc] per instance (image compile, kernel
+    boot, translation warm-up) would cost far more than the wakeup it
+    serves; instead one live world per shard is multiplexed across
+    instances, and each instance's divergence from a shared baseline is
+    captured as a sparse, structurally-shared snapshot:
 
-    - {b RAM} — copy-on-write at 4 KiB page granularity. {!Mem} marks
+    - {b RAM} — at {!Mem}'s 4 KiB page granularity. {!Mem} marks
       touched pages on every store; [fork] compares only touched pages
       against the baseline and interns the diverging ones in a
       content-addressed store, so the many instances that follow the
-      same execution path share one copy of each page.
+      same execution path share one copy of each page. The baseline
+      holds never-written pages as {!Mem.zero_page} itself, by
+      reference.
     - {b caches} — tag/dirty arrays diffed against the baseline in
       fixed chunks, interned the same way.
     - {b cores, interrupt controllers, clock, timers} — small flat
@@ -275,7 +277,7 @@ let create ?(shared_ranges = []) (soc : Soc.t) =
     shared_ranges;
   let t =
     { soc; shared;
-      base_pages = Array.init (Mem.npages mem) (fun i -> Mem.page_copy mem i);
+      base_pages = Array.make (Mem.npages mem) Mem.zero_page;
       base_cpu_tags = Array.copy soc.Soc.cpu.Core.cache.Cache.tags;
       base_cpu_dirty = Array.copy soc.Soc.cpu.Core.cache.Cache.dirty;
       base_m3_tags = Array.copy soc.Soc.m3.Core.cache.Cache.tags;
@@ -288,8 +290,13 @@ let create ?(shared_ranges = []) (soc : Soc.t) =
           false_dirty = 0 } }
   in
   (* the baseline pages are canonical content: seed the intern store so
-     a page that diverges and later reverts re-shares the baseline copy *)
-  Array.iter (fun p -> ignore (intern_page t p)) t.base_pages;
+     a page that diverges and later reverts re-shares the baseline copy.
+     Never-written pages stay the shared zero page, interned once. *)
+  ignore (intern_page t Mem.zero_page);
+  for i = 0 to Mem.npages mem - 1 do
+    if Mem.page_allocated mem i then
+      t.base_pages.(i) <- intern_page t (Mem.page_snapshot mem i)
+  done;
   t.stats.pages_interned <- 0;
   (* every page now matches the baseline by construction *)
   for i = 0 to Mem.npages mem - 1 do
@@ -357,18 +364,15 @@ let fork t =
           if Bytes.get t.shared i <> '\000' then
             (* shared page: never captured; unmark so later forks skip *)
             Mem.set_page_touched mem i false
+          else if Mem.page_equal mem i t.base_pages.(i) then begin
+            (* touched but reverted (or spuriously marked): clean it so
+               future forks skip the compare *)
+            Mem.set_page_touched mem i false;
+            t.stats.false_dirty <- t.stats.false_dirty + 1
+          end
           else begin
-            let live = Mem.page_copy mem i in
-            if Bytes.equal live t.base_pages.(i) then begin
-              (* touched but reverted (or spuriously marked): clean it
-                 so future forks skip the compare *)
-              Mem.set_page_touched mem i false;
-              t.stats.false_dirty <- t.stats.false_dirty + 1
-            end
-            else begin
-              t.stats.pages_captured <- t.stats.pages_captured + 1;
-              pages := (i, intern_page t live) :: !pages
-            end
+            t.stats.pages_captured <- t.stats.pages_captured + 1;
+            pages := (i, intern_page t (Mem.page_snapshot mem i)) :: !pages
           end
       done;
       let ext = List.rev_map (fun hook -> hook ()) t.hooks in
@@ -401,14 +405,14 @@ let restore t ?(on_page = fun _ ~old:_ -> ()) snap =
           | Some p ->
             Hashtbl.remove want i;
             if not (Mem.page_equal mem i p) then begin
-              let old = Mem.page_copy mem i in
+              let old = Mem.page_snapshot mem i in
               Mem.page_load mem i p;
               t.stats.pages_loaded <- t.stats.pages_loaded + 1;
               on_page i ~old
             end
           | None ->
             if not (Mem.page_equal mem i t.base_pages.(i)) then begin
-              let old = Mem.page_copy mem i in
+              let old = Mem.page_snapshot mem i in
               Mem.page_load mem i t.base_pages.(i);
               t.stats.pages_loaded <- t.stats.pages_loaded + 1;
               on_page i ~old

@@ -305,6 +305,35 @@ let test_indirect_call () =
   (try Engine.run engine cpu ~fuel:100000 with Engine.Context_exit -> ());
   Alcotest.(check int) "indirect call result" 99 cpu.Exec.r.(0)
 
+(* The run loop indexes the engine's per-word arrays unchecked, and they
+   are only one word longer than the code cache's high-water mark. A
+   block whose last word falls through (here: its final transfer
+   overwritten with a no-op) must fault at the first word past the
+   cursor, not run on into words nothing emitted. *)
+let test_fall_through_past_cursor () =
+  let frag =
+    { Asm.name = "straight";
+      items =
+        [ Asm.Ins (at (Dp (MOV, false, 0, 0, Imm 7))); Asm.Ins (at (Bx Types.lr)) ] }
+  in
+  let soc = Soc.create () in
+  let image = Asm.link ~base:Soc.kernel_base [ frag ] [] in
+  Mem.load_image soc.Soc.mem image;
+  let engine = Engine.create ~soc ~mode:Translator.Ark () in
+  let cpu = Exec.make_cpu () in
+  cpu.Exec.r.(Types.lr) <- Layout.exit_magic;
+  cpu.Exec.r.(Types.pc) <- Engine.entry_host engine (Asm.symbol image "straight");
+  let last = ((engine.Engine.cursor - Soc.code_cache_base) asr 2) - 1 in
+  engine.Engine.host_decode.(last) <-
+    Exec.decoded (at (Dp (MOV, false, 1, 1, Reg 1)));
+  match Engine.run engine cpu ~fuel:100000 with
+  | () -> Alcotest.fail "run returned"
+  | exception Engine.Host_error msg ->
+    Alcotest.(check string) "faults at the cursor"
+      (Printf.sprintf "host pc outside code cache: 0x%x" engine.Engine.cursor)
+      msg
+  | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+
 (* ------------------- block-terminal invariant ----------------------- *)
 
 (* The engine's one run loop probes for block starts, the exit sentinel
@@ -383,6 +412,8 @@ let () =
         [ Alcotest.test_case "call-site patching" `Quick test_patching;
           Alcotest.test_case "loop chaining" `Quick test_loop_translation;
           Alcotest.test_case "indirect calls" `Quick test_indirect_call;
+          Alcotest.test_case "fall-through past the cursor faults" `Quick
+            test_fall_through_past_cursor;
           Alcotest.test_case "every block ends in a control transfer"
             `Quick test_blocks_end_in_transfer;
           Alcotest.test_case "every trace ends in a control transfer"

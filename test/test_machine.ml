@@ -101,6 +101,138 @@ let test_mem_bounds () =
   | _ -> Alcotest.fail "expected bus fault"
   | exception Mem.Bus_fault _ -> ())
 
+(* Paged DRAM: a small memory of four pages, checked against a byte-wise
+   reference model. *)
+let small_mem () =
+  Mem.create ~ram_base:Soc.ram_base ~ram_size:(4 * Mem.page_size)
+
+let word32 rng = (Random.State.bits rng lsl 2) lxor Random.State.bits rng
+
+(* every 2- and 4-byte access that straddles a page boundary, through
+   each wide entry point, against a byte-array model of an 8-byte
+   window around the boundary (so the neighbours are checked too) *)
+let test_mem_straddle () =
+  let mem = small_mem () in
+  let rng = Random.State.make [| 16 |] in
+  let writes =
+    [ (2, "ram_write 2", fun a v -> Mem.ram_write mem a 2 v);
+      (4, "ram_write 4", fun a v -> Mem.ram_write mem a 4 v);
+      (4, "ram_write32", fun a v -> Mem.ram_write32 mem a v);
+      (2, "write 2", fun a v -> Mem.write mem a 2 v);
+      (4, "write 4", fun a v -> Mem.write mem a 4 v) ]
+  in
+  let reads =
+    [ (2, "ram_read 2", fun a -> Mem.ram_read mem a 2);
+      (4, "ram_read 4", fun a -> Mem.ram_read mem a 4);
+      (4, "ram_read32", fun a -> Mem.ram_read32 mem a);
+      (2, "read 2", fun a -> Mem.read mem a 2);
+      (4, "read 4", fun a -> Mem.read mem a 4) ]
+  in
+  for page = 1 to 3 do
+    let boundary = Soc.ram_base + (page * Mem.page_size) in
+    let lo = boundary - 4 in
+    let model = Bytes.create 8 in
+    let refill () =
+      for k = 0 to 7 do
+        let b = Random.State.int rng 256 in
+        Bytes.set model k (Char.chr b);
+        Mem.ram_write mem (lo + k) 1 b
+      done
+    in
+    let model_read a n =
+      let v = ref 0 in
+      for k = n - 1 downto 0 do
+        v := (!v lsl 8) lor Char.code (Bytes.get model (a - lo + k))
+      done;
+      !v
+    in
+    let check_window what =
+      for k = 0 to 7 do
+        checki
+          (Printf.sprintf "%s: byte at boundary%+d" what (k - 4))
+          (Char.code (Bytes.get model k))
+          (Mem.ram_read mem (lo + k) 1)
+      done
+    in
+    List.iter
+      (fun (n, name, write) ->
+        for k = 1 to n - 1 do
+          let a = boundary - k in
+          List.iter
+            (fun v ->
+              refill ();
+              write a v;
+              for j = 0 to n - 1 do
+                Bytes.set model (a - lo + j) (Char.chr ((v lsr (8 * j)) land 0xFF))
+              done;
+              check_window (Printf.sprintf "%s at boundary-%d" name k))
+            [ word32 rng land ((1 lsl (8 * n)) - 1); (1 lsl (8 * n)) - 1;
+              1 lsl ((8 * n) - 1) ]
+        done)
+      writes;
+    List.iter
+      (fun (n, name, read) ->
+        for k = 1 to n - 1 do
+          refill ();
+          let a = boundary - k in
+          checki
+            (Printf.sprintf "%s at boundary-%d" name k)
+            (model_read a n) (read a)
+        done)
+      reads
+  done
+
+let test_mem_zero_page () =
+  let mem = small_mem () in
+  Mem.ram_write mem Soc.ram_base 4 0x01020304;
+  let p = 2 in
+  let base = Soc.ram_base + (p * Mem.page_size) in
+  List.iter
+    (fun off ->
+      let a = base + off in
+      checki "byte" 0 (Mem.ram_read mem a 1);
+      if off + 2 <= Mem.page_size then checki "half" 0 (Mem.ram_read mem a 2);
+      if off + 4 <= Mem.page_size then begin
+        checki "word" 0 (Mem.ram_read mem a 4);
+        checki "word32" 0 (Mem.ram_read32 mem a)
+      end)
+    [ 0; 1; 2; 3; 100; Mem.page_size - 4; Mem.page_size - 1 ];
+  checkb "never-written page untouched" false (Mem.page_touched mem p);
+  checkb "and unallocated" false (Mem.page_allocated mem p);
+  checkb "the written page is both" true
+    (Mem.page_touched mem 0 && Mem.page_allocated mem 0)
+
+(* a straddle off the top of RAM raises before it stores or marks any
+   byte: the in-RAM part of the access keeps its old content *)
+let test_mem_top_straddle () =
+  let mem = small_mem () in
+  let last = Mem.npages mem - 1 in
+  let top = Soc.ram_base + (Mem.npages mem * Mem.page_size) in
+  for k = 1 to 3 do
+    Mem.ram_write mem (top - k) 1 (0xA0 + k)
+  done;
+  Mem.set_page_touched mem last false;
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (what, f) ->
+      raises what f;
+      for k = 1 to 3 do
+        checki (Printf.sprintf "%s: byte top-%d" what k) (0xA0 + k)
+          (Mem.ram_read mem (top - k) 1)
+      done;
+      checkb (what ^ ": page not marked") false (Mem.page_touched mem last))
+    [ ("ram_write 2 at top-1", fun () -> Mem.ram_write mem (top - 1) 2 0xFFFF);
+      ("ram_write 4 at top-1", fun () -> Mem.ram_write mem (top - 1) 4 0);
+      ("ram_write 4 at top-2", fun () -> Mem.ram_write mem (top - 2) 4 0);
+      ("ram_write32 at top-3", fun () -> Mem.ram_write32 mem (top - 3) 0);
+      ("write 4 at top-3", fun () -> Mem.write mem (top - 3) 4 0) ];
+  raises "ram_read 2 at top-1" (fun () -> ignore (Mem.ram_read mem (top - 1) 2));
+  raises "ram_read32 at top-3" (fun () -> ignore (Mem.ram_read32 mem (top - 3)))
+
 let test_dma_counters () =
   let soc = Soc.create () in
   let before = soc.Soc.mem.Mem.dma_read_bytes in
@@ -284,7 +416,13 @@ let () =
           Alcotest.test_case "gic mmio interface" `Quick test_gic_mmio ] );
       ( "memory",
         [ Alcotest.test_case "ram and faults" `Quick test_mem_bounds;
-          Alcotest.test_case "dma traffic" `Quick test_dma_counters ] );
+          Alcotest.test_case "dma traffic" `Quick test_dma_counters;
+          Alcotest.test_case "page-straddling accesses" `Quick
+            test_mem_straddle;
+          Alcotest.test_case "never-written page reads zero" `Quick
+            test_mem_zero_page;
+          Alcotest.test_case "straddle at top of RAM" `Quick
+            test_mem_top_straddle ] );
       ( "timers", [ Alcotest.test_case "periodic tick" `Quick test_timer_tick ] );
       ( "interp smc",
         [ Alcotest.test_case "aligned store" `Quick

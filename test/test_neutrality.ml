@@ -163,6 +163,39 @@ let test_chaining_equivalence () =
   Alcotest.(check (list int)) "warn codes" w_off w_on;
   Alcotest.(check int) "final exit r0" r_off r_on
 
+(* ------------------ allocation per retired instruction ----------------- *)
+
+(* A warm cycle must allocate almost nothing per simulated instruction:
+   the run loops, the memory model and the clock allocate nothing on
+   their common paths, so what is left is per-phase bookkeeping. The
+   bound is 0.1 minor words per retired instruction (both cores), over
+   one cycle after two warm-up cycles. *)
+let check_alloc label (soc : Soc.t) cycle =
+  cycle ();
+  cycle ();
+  let instrs () =
+    soc.Soc.cpu.Core.instructions + soc.Soc.m3.Core.instructions
+  in
+  let i0 = instrs () and w0 = Gc.minor_words () in
+  cycle ();
+  let words = Gc.minor_words () -. w0 and n = instrs () - i0 in
+  let per = words /. float_of_int n in
+  if n < 100_000 || per >= 0.1 then
+    Alcotest.failf "%s: %.3f minor words per instruction over %d instructions \
+                    (bound 0.1)" label per n
+
+let test_alloc_native () =
+  let nat = Native_run.create () in
+  check_alloc "native" nat.Native_run.plat.Tk_drivers.Platform.soc (fun () ->
+      ignore (Native_run.suspend_resume_cycle nat))
+
+let test_alloc_dbt ~superblock label () =
+  let ark = Ark_run.create ~superblock () in
+  check_alloc label (Ark_run.plat ark).Tk_drivers.Platform.soc (fun () ->
+      match Ark_run.suspend_resume_cycle ark with
+      | `Ok -> ()
+      | `Fell_back r -> Alcotest.failf "unexpected fallback: %s" r)
+
 let () =
   if Sys.getenv_opt "TK_CAPTURE" <> None then begin
     Printf.printf "let golden_native =\n  %s\n" (pp (run_native ()));
@@ -186,4 +219,10 @@ let () =
             test_baseline_traced ] );
       ( "chaining ablation",
         [ Alcotest.test_case "on/off architectural equivalence" `Quick
-            test_chaining_equivalence ] ) ]
+            test_chaining_equivalence ] );
+      ( "allocation",
+        [ Alcotest.test_case "native warm cycle" `Quick test_alloc_native;
+          Alcotest.test_case "ark-tier warm cycle" `Quick
+            (test_alloc_dbt ~superblock:false "ark tier");
+          Alcotest.test_case "superblock-tier warm cycle" `Quick
+            (test_alloc_dbt ~superblock:true "superblock tier") ] ) ]

@@ -39,7 +39,7 @@ let mk () =
 let ram_digest (soc : Soc.t) =
   let mem = soc.Soc.mem in
   Mem.digest mem ~lo:mem.Mem.ram_base
-    ~hi:(mem.Mem.ram_base + Bytes.length mem.Mem.ram)
+    ~hi:(mem.Mem.ram_base + mem.Mem.ram_size)
 
 (* every simulated observable a manifest would be built from: RAM,
    simulated time, kernel counters, cumulative sleep, phase events *)
@@ -204,6 +204,40 @@ let test_restore_reverts_poke () =
     ((old + 1) land 0xFF)
     (Mem.ram_read mem poke_addr 1)
 
+(* A page the baseline holds as never written, written by an instance
+   and restored: it must read back as zeros, and DRAM as a whole must
+   digest as the baseline did. *)
+let test_restore_to_zero_page () =
+  let _ark, w, soc = mk () in
+  let mem = soc.Soc.mem in
+  let in_code_cache p =
+    let a = mem.Mem.ram_base + (p lsl Mem.page_bits) in
+    a >= Soc.code_cache_base && a < Soc.code_cache_base + Soc.code_cache_size
+  in
+  let rec unwritten p =
+    if p < 0 then Alcotest.fail "no never-written page after warmup"
+    else if Mem.page_allocated mem p || in_code_cache p then unwritten (p - 1)
+    else p
+  in
+  let page = unwritten (Mem.npages mem - 1) in
+  let addr = mem.Mem.ram_base + (page lsl Mem.page_bits) + 0x20 in
+  let digest0 = ram_digest soc in
+  let snap0 = World.fork w in
+  Mem.ram_write mem addr 4 0xDEADBEEF;
+  Mem.ram_write mem (addr + Mem.page_size - 0x40) 1 0x5A;
+  let snap1 = World.fork w in
+  Alcotest.(check bool) "the diverged page was captured" true
+    (List.mem_assoc page snap1.World.s_pages);
+  World.restore w snap0;
+  Alcotest.(check int) "restored word reads zero" 0 (Mem.ram_read mem addr 4);
+  Alcotest.(check int) "restored byte reads zero" 0
+    (Mem.ram_read mem (addr + Mem.page_size - 0x40) 1);
+  Alcotest.(check int) "DRAM digest equals the baseline's" digest0
+    (ram_digest soc);
+  World.restore w snap1;
+  Alcotest.(check int) "the sibling still holds its word" 0xDEADBEEF
+    (Mem.ram_read mem addr 4)
+
 let () =
   Alcotest.run "world"
     [ ( "isolation",
@@ -222,4 +256,6 @@ let () =
           Alcotest.test_case "identical pages intern to one buffer" `Quick
             test_intern_shares_page_content;
           Alcotest.test_case "shared ranges exempt from capture/restore"
-            `Quick test_shared_range_exempt ] ) ]
+            `Quick test_shared_range_exempt;
+          Alcotest.test_case "restore back to a never-written page" `Quick
+            test_restore_to_zero_page ] ) ]
