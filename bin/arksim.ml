@@ -38,6 +38,33 @@ let check_flag cmd flag ?(hi = max_int) ~lo v =
     exit 2
   end
 
+(* The one check of an output-file flag, made before anything runs and
+   without creating the file: the path must name a writable file in an
+   existing directory, not a directory. Otherwise exit 2 with a message
+   naming the command and the flag. *)
+let check_out cmd flag = function
+  | None -> ()
+  | Some f ->
+    let writable p =
+      try Unix.access p [ Unix.W_OK ]; true with Unix.Unix_error _ -> false
+    in
+    let dir = Filename.dirname f in
+    let why =
+      if Sys.file_exists f then
+        if Sys.is_directory f then Some "is a directory"
+        else if writable f then None
+        else Some "is not writable"
+      else if not (Sys.file_exists dir && Sys.is_directory dir) then
+        Some "has no such directory"
+      else if writable dir then None
+      else Some "is in a directory that is not writable"
+    in
+    Option.iter
+      (fun why ->
+        Printf.eprintf "%s: --%s %s %s\n" cmd flag f why;
+        exit 2)
+      why
+
 let layout_of_string = function
   | "v3.16" -> Ok Tk_kernel.Variants.v3_16
   | "v4.4" -> Ok Tk_kernel.Layout.v4_4
@@ -376,6 +403,11 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
     exit 2
   end;
   let check = check_flag "run" in
+  List.iter
+    (fun (flag, f) -> check_out "run" flag f)
+    [ ("trace", trace_file); ("timeseries", ts_file);
+      ("manifest", manifest_file); ("spans", spans_file);
+      ("perfetto", perfetto_file) ];
   check "cycles" ~lo:0 cycles;
   check "sleep-ms" ~lo:0 sleep_ms;
   check "glitch-every" ~lo:0 glitch_every;
@@ -567,6 +599,7 @@ module Campaign = Tk_campaign.Campaign
 let sweep_cmd kind tasks jobs seed out =
   check_flag "sweep" "tasks" ~lo:0 tasks;
   check_flag "sweep" "jobs" ~lo:1 jobs;
+  check_out "sweep" "out" out;
   let cfg =
     { (Campaign.default_config kind) with Campaign.tasks; jobs; seed }
   in
@@ -600,6 +633,7 @@ let fleet_cmd devices arrival jobs seed duration_ms gap_ms shard_cap reversed
   check "gap-ms" ~lo:1 gap_ms;
   check "shard-cap" ~lo:1 shard_cap;
   check "quantum" ~lo:0 quantum;
+  check_out "fleet" "out" out;
   let cfg =
     { Fleet.default_config with
       Fleet.devices; arrival; jobs; seed; duration_ms;
@@ -737,6 +771,7 @@ let variant_conv =
           | `One (l : Tk_kernel.Layout.t) -> l.Tk_kernel.Layout.version) )
 
 let analyze_cmd image_sel rules abi cfg certify absint json =
+  check_out "analyze" "json" json;
   let run_all = not (rules || abi || cfg || certify || absint) in
   let tagged : (string * Finding.t) list ref = ref [] in
   let collect image fs =

@@ -190,10 +190,9 @@ let create soc ~name ~index ~suspend_us ~resume_us ?(cfg_us = 25)
 (* ----------------------- snapshot support --------------------------- *)
 
 (** Flat copy of a device's mutable state, for the world-snapshot
-    layer. Only valid at quiescence (no transition/DMA/firmware event
-    pending): an in-flight completion is a clock closure that a
-    snapshot could not re-create, and {!Tk_machine.World.fork} refuses
-    to capture while one is pending. *)
+    layer. A completion still in flight is a clock closure over this
+    device: {!Tk_machine.World.fork} captures it with the rest of the
+    event queue, and a restore replays it against this saved state. *)
 type saved = {
   v_power_on : bool;
   v_busy : bool;

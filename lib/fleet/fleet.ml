@@ -534,12 +534,7 @@ let shard_task ~built (cfg : config) (sh : shard) =
     o_host =
       [ ("world.forks", st.World.forks);
         ("world.restores", st.World.restores);
-        ("world.pages_captured", st.World.pages_captured);
-        ("world.pages_interned", st.World.pages_interned);
         ("world.pages_loaded", st.World.pages_loaded);
-        ("world.chunks_captured", st.World.chunks_captured);
-        ("world.chunks_interned", st.World.chunks_interned);
-        ("world.false_dirty", st.World.false_dirty);
         ("world.warmup_cycles", warm_cycles) ] }
 
 (* ----------------------------- the fleet ------------------------------ *)

@@ -18,7 +18,7 @@ type region = {
   rwrite : int -> int -> int -> unit;  (** [rwrite offset nbytes value] *)
 }
 
-(* DRAM is held as 4 KiB pages, each allocated on its first write.
+(* DRAM is held as 4 KiB pages, each copied on its first write.
    Until then a page reads from [zero_page], one all-zero page shared by
    every platform and never written, so a platform holds only the pages
    it has stored to: 55 of its 6,144 after boot, 65-98 after three
@@ -26,9 +26,13 @@ type region = {
    plus the Bytes access; a 2- or 4-byte access that straddles two pages
    takes a byte-wise slow path.
 
-   Pages are also the world-snapshot layer's unit: every store marks its
-   page in [page_touched], so a snapshot only has to compare the touched
-   pages against the baseline instead of all of DRAM. *)
+   Pages are also the world-snapshot layer's unit, and they are
+   copy-on-write: a store writes a page in place only while [owned]
+   marks it as this memory's private copy, and copies it first
+   otherwise. [zero_page] is simply the first shared page. {!share}
+   hands every page out by reference and clears [owned], so a snapshot
+   of DRAM is the page array itself; {!reload} swaps such an array back
+   in. An owned page is never [zero_page] and no snapshot holds it. *)
 let page_bits = 12
 let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
@@ -43,8 +47,9 @@ type t = {
   pages : Bytes.t array;
       (** page [i] covers offsets [i * page_size ..]; it is [zero_page]
           (physically) until its first write *)
-  page_touched : Bytes.t;  (** '\001' where the page may differ from
-                               the snapshot baseline *)
+  owned : Bytes.t;
+      (** '\001' where [pages.(i)] is this memory's private copy, which
+          a store may write in place; any other page is shared *)
   mutable regions : region list;
   mutable dma_read_bytes : int;  (** device-initiated DRAM traffic *)
   mutable dma_write_bytes : int;
@@ -59,37 +64,37 @@ let create ~ram_base ~ram_size =
     invalid_arg "Mem.create: ram_size must be a positive multiple of 4 KiB";
   let n = ram_size lsr page_bits in
   { ram_base; ram_size; pages = Array.make n zero_page;
-    page_touched = Bytes.make n '\000';
+    owned = Bytes.make n '\000';
     regions = []; dma_read_bytes = 0; dma_write_bytes = 0 }
 
 let npages t = Array.length t.pages
-let page_touched t i = Bytes.unsafe_get t.page_touched i <> '\000'
 
-let set_page_touched t i v =
-  Bytes.unsafe_set t.page_touched i (if v then '\001' else '\000')
-
-(** [page_allocated t i] — has page [i] been given its own storage (by
-    a write or a {!page_load})? *)
+(** [page_allocated t i] — has page [i] been given storage of its own,
+    by a write here or by a {!reload}? *)
 let page_allocated t i = t.pages.(i) != zero_page
 
-(** [page_snapshot t i] — page [i]'s current bytes as a value that later
-    writes cannot change: [zero_page] itself while the page is
-    unallocated, else a fresh copy. Callers must not mutate it. *)
-let page_snapshot t i =
-  let p = t.pages.(i) in
-  if p == zero_page then p else Bytes.copy p
+(** [share t] — DRAM as it stands, by reference: a copy of the page
+    array, whose pages no store will write again. Every page becomes
+    shared, so the next store to each copies it first. O(pages), and no
+    byte is copied. *)
+let share t =
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000';
+  Array.copy t.pages
 
-let page_equal t i buf =
-  let p = t.pages.(i) in
-  p == buf || Bytes.equal p buf
-
-(** [page_load t i buf] — overwrite page [i] with [buf] (no dirty
-    marking: the snapshot layer maintains the bitmap itself). An
-    unallocated page stays unallocated when [buf] is [zero_page]. *)
-let page_load t i buf =
-  let p = t.pages.(i) in
-  if p != zero_page then Bytes.blit buf 0 p 0 page_size
-  else if buf != zero_page then t.pages.(i) <- Bytes.copy buf
+(** [reload t ~exempt pages ~on_page] — make DRAM read as [pages], an
+    array from {!share}, by putting its pages back by reference: no
+    byte is copied. A page marked in [exempt] keeps its live content.
+    [on_page i ~old] runs after the swap for each page whose bytes
+    changed, with the page it replaced. *)
+let reload t ~exempt pages ~on_page =
+  for i = 0 to Array.length pages - 1 do
+    let old = t.pages.(i) and pg = pages.(i) in
+    if old != pg && Bytes.get exempt i = '\000' then begin
+      t.pages.(i) <- pg;
+      Bytes.set t.owned i '\000';
+      if not (Bytes.equal old pg) then on_page i ~old
+    end
+  done
 
 (** [add_region t r] registers an MMIO region (latest wins on overlap). *)
 let add_region t r = t.regions <- r :: t.regions
@@ -103,25 +108,23 @@ let find_region t addr =
    when the access fits in one page. The page lookup is bounds-checked,
    so an address outside RAM raises Invalid_argument. *)
 
-(* the page holding offset [off], for a store: allocated on first use
-   and marked touched *)
+(* the page holding offset [off], for a store: a page this memory does
+   not own is copied first. The bounds-checked [owned] read raises on an
+   offset outside RAM before anything changes; [owned] and [pages] have
+   the same length, so the page accesses need no second check. *)
 let store_page t off =
   let p = off lsr page_bits in
-  let pg = t.pages.(p) in
-  let pg =
-    if pg != zero_page then pg
-    else begin
-      let pg = Bytes.make page_size '\000' in
-      Array.unsafe_set t.pages p pg;
-      pg
-    end
-  in
-  Bytes.unsafe_set t.page_touched p '\001';
-  pg
+  if Bytes.get t.owned p <> '\000' then Array.unsafe_get t.pages p
+  else begin
+    let pg = Bytes.copy (Array.unsafe_get t.pages p) in
+    Array.unsafe_set t.pages p pg;
+    Bytes.unsafe_set t.owned p '\001';
+    pg
+  end
 
 (* The byte-wise path of a 2- or 4-byte access that straddles a page
    boundary. The whole range is checked first, so a straddle off the top
-   of RAM raises before a write stores (or marks) any byte. *)
+   of RAM raises before a write stores (or copies) any byte. *)
 let check_span t off nbytes =
   if off < 0 || off + nbytes > t.ram_size then invalid_arg "index out of bounds"
 

@@ -51,7 +51,11 @@ let test_jobs_invariance kind () =
   Alcotest.(check string)
     (Arrival.kind_name kind ^ ": whole doc identical modulo host")
     (deterministic_part t1.Fleet.doc)
-    (deterministic_part t8.Fleet.doc)
+    (deterministic_part t8.Fleet.doc);
+  (* every shard, on every domain, starts from the one shared zero page
+     and copies it before its first store *)
+  Alcotest.(check bool) "the shared zero page is still all zeros" true
+    (Bytes.for_all (( = ) '\000') Tk_machine.Mem.zero_page)
 
 let test_schedule_invariance () =
   (* run every shard's instances in reverse: per-instance RNG streams

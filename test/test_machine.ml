@@ -197,13 +197,63 @@ let test_mem_zero_page () =
         checki "word32" 0 (Mem.ram_read32 mem a)
       end)
     [ 0; 1; 2; 3; 100; Mem.page_size - 4; Mem.page_size - 1 ];
-  checkb "never-written page untouched" false (Mem.page_touched mem p);
-  checkb "and unallocated" false (Mem.page_allocated mem p);
-  checkb "the written page is both" true
-    (Mem.page_touched mem 0 && Mem.page_allocated mem 0)
+  checkb "never-written page is the zero page" false (Mem.page_allocated mem p);
+  checkb "the written page has its own" true (Mem.page_allocated mem 0)
 
-(* a straddle off the top of RAM raises before it stores or marks any
-   byte: the in-RAM part of the access keeps its old content *)
+(* after [Mem.share], every store entry point copies exactly the page or
+   pages it writes, and the shared pages keep their bytes; the copy is
+   then owned, so a second store writes it in place *)
+let test_mem_cow_stores () =
+  let page_of a = (a - Soc.ram_base) lsr Mem.page_bits in
+  let a = Soc.ram_base + Mem.page_size + 0x40 (* inside page 1 *)
+  and b = Soc.ram_base + (2 * Mem.page_size) (* pages 1 | 2 *) in
+  let image =
+    { Tk_isa.Asm.base = b - 8; code_size = 16;
+      words = [| 0x11111111; 0x22222222; 0x33333333; 0x44444444 |];
+      symbols = Hashtbl.create 1; sym_of_addr = Hashtbl.create 1;
+      frag_sizes = [] }
+  in
+  List.iter
+    (fun (what, lo, hi, store) ->
+      let mem = small_mem () in
+      for p = 0 to Mem.npages mem - 1 do
+        Mem.ram_write32 mem (Soc.ram_base + (p * Mem.page_size) + 8) (p + 1)
+      done;
+      let shared = Mem.share mem in
+      let before = Array.map Bytes.copy shared in
+      store mem;
+      Array.iteri
+        (fun i pg ->
+          let written = i >= page_of lo && i <= page_of hi in
+          checkb (Printf.sprintf "%s: page %d copied" what i) written
+            (mem.Mem.pages.(i) != pg);
+          checkb (Printf.sprintf "%s: page %d's store landed" what i) written
+            (not (Bytes.equal mem.Mem.pages.(i) before.(i)));
+          checkb (Printf.sprintf "%s: shared page %d unchanged" what i) true
+            (Bytes.equal pg before.(i)))
+        shared;
+      let owned = Array.copy mem.Mem.pages in
+      store mem;
+      checkb (what ^ ": second store copies nothing") true
+        (Array.for_all2 ( == ) owned mem.Mem.pages))
+    [ ("ram_write 1", a, a, fun m -> Mem.ram_write m a 1 0x5A);
+      ("ram_write 2", a, a + 1, fun m -> Mem.ram_write m a 2 0xBEEF);
+      ("ram_write 4", a, a + 3, fun m -> Mem.ram_write m a 4 0xDEADBEEF);
+      ("ram_write32", a, a + 3, fun m -> Mem.ram_write32 m a 0xDEADBEEF);
+      ("write 4", a, a + 3, fun m -> Mem.write m a 4 0xDEADBEEF);
+      ( "ram_write 2 straddling", b - 1, b,
+        fun m -> Mem.ram_write m (b - 1) 2 0xBEEF );
+      ( "ram_write 4 straddling", b - 2, b + 1,
+        fun m -> Mem.ram_write m (b - 2) 4 0xDEADBEEF );
+      ( "ram_write32 straddling", b - 1, b + 2,
+        fun m -> Mem.ram_write32 m (b - 1) 0xDEADBEEF );
+      ( "dma_write", b - 2, b + 1,
+        fun m -> Mem.dma_write m (b - 2) [ 1; 2; 3; 4 ] );
+      ("load_image", b - 8, b + 7, fun m -> Mem.load_image m image) ]
+
+(* a straddle off the top of RAM raises before it stores or copies any
+   byte: the in-RAM part of the access keeps its old content, and the
+   page stays shared *)
 let test_mem_top_straddle () =
   let mem = small_mem () in
   let last = Mem.npages mem - 1 in
@@ -211,7 +261,7 @@ let test_mem_top_straddle () =
   for k = 1 to 3 do
     Mem.ram_write mem (top - k) 1 (0xA0 + k)
   done;
-  Mem.set_page_touched mem last false;
+  let shared = Mem.share mem in
   let raises what f =
     match f () with
     | () -> Alcotest.failf "%s: no exception" what
@@ -224,7 +274,8 @@ let test_mem_top_straddle () =
         checki (Printf.sprintf "%s: byte top-%d" what k) (0xA0 + k)
           (Mem.ram_read mem (top - k) 1)
       done;
-      checkb (what ^ ": page not marked") false (Mem.page_touched mem last))
+      checkb (what ^ ": page still shared") true
+        (mem.Mem.pages.(last) == shared.(last)))
     [ ("ram_write 2 at top-1", fun () -> Mem.ram_write mem (top - 1) 2 0xFFFF);
       ("ram_write 4 at top-1", fun () -> Mem.ram_write mem (top - 1) 4 0);
       ("ram_write 4 at top-2", fun () -> Mem.ram_write mem (top - 2) 4 0);
@@ -421,6 +472,8 @@ let () =
             test_mem_straddle;
           Alcotest.test_case "never-written page reads zero" `Quick
             test_mem_zero_page;
+          Alcotest.test_case "every store path copies a shared page" `Quick
+            test_mem_cow_stores;
           Alcotest.test_case "straddle at top of RAM" `Quick
             test_mem_top_straddle ] );
       ( "timers", [ Alcotest.test_case "periodic tick" `Quick test_timer_tick ] );

@@ -7,10 +7,11 @@
    snapshot. (2) Replay: running the same input trace from the same
    snapshot twice produces byte-identical simulated observables, and
    those match a straight run that never snapshotted at all — restore
-   is not "close enough", it is the same world. (3) Mechanics: the
-   dirty-page bitmap and the content-interning store do what their
-   counters claim (touched-but-reverted pages cost nothing, identical
-   captured pages share one buffer, shared ranges stay exempt). *)
+   is not "close enough", it is the same world. (3) Mechanics: RAM
+   pages are copy-on-write — forks share every page by reference, a
+   store copies only its own page, restore puts the snapshot's pages
+   back without copying and reports exactly the pages whose bytes it
+   changed, and shared ranges stay exempt. *)
 
 open Tk_machine
 open Tk_harness
@@ -136,58 +137,61 @@ let poke_addr = Soc.page_pool_base + 0x40
 let page_of (soc : Soc.t) addr =
   (addr - soc.Soc.mem.Mem.ram_base) asr Mem.page_bits
 
-let test_bitmap_false_dirty () =
+let test_pages_copy_on_write () =
   let _ark, w, soc = mk () in
   let mem = soc.Soc.mem in
-  ignore (World.fork w);  (* clean the bitmap of warmup residue *)
-  let f0 = (World.stats w).World.false_dirty in
-  (* rewrite a byte with its own value: touched, but content = baseline *)
-  Mem.ram_write mem poke_addr 1 (Mem.ram_read mem poke_addr 1);
-  Alcotest.(check bool) "write marks the page touched" true
-    (Mem.page_touched mem (page_of soc poke_addr));
-  let snap = World.fork w in
-  Alcotest.(check int) "reverted page detected as false-dirty" (f0 + 1)
-    (World.stats w).World.false_dirty;
-  Alcotest.(check bool) "and not captured" false
-    (List.mem_assoc (page_of soc poke_addr) snap.World.s_pages);
-  Alcotest.(check bool) "bitmap cleaned for the next fork" false
-    (Mem.page_touched mem (page_of soc poke_addr))
-
-let test_intern_shares_page_content () =
-  let _ark, w, soc = mk () in
-  let mem = soc.Soc.mem in
-  ignore (World.fork w);
-  let old = Mem.ram_read mem poke_addr 1 in
-  Mem.ram_write mem poke_addr 1 ((old + 1) land 0xFF);
-  let i0 = (World.stats w).World.pages_interned in
   let snap_a = World.fork w in
-  (* dirty the page again, then put the same content back: the second
-     capture must re-share the first capture's buffer, not copy it *)
-  Mem.ram_write mem poke_addr 1 old;
-  Mem.ram_write mem poke_addr 1 ((old + 1) land 0xFF);
-  let snap_b = World.fork w in
+  let snap = World.fork w in
+  Alcotest.(check bool) "two forks hold physically identical pages" true
+    (Array.for_all2 ( == ) snap_a.World.s_pages snap.World.s_pages);
   let page = page_of soc poke_addr in
-  let buf_a = List.assoc page snap_a.World.s_pages
-  and buf_b = List.assoc page snap_b.World.s_pages in
-  Alcotest.(check bool) "identical content, one physical buffer" true
-    (buf_a == buf_b);
-  Alcotest.(check int) "interned exactly once" (i0 + 1)
-    (World.stats w).World.pages_interned
+  let off = (poke_addr - mem.Mem.ram_base) land Mem.page_mask in
+  let old = Mem.ram_read mem poke_addr 1 in
+  let v = (old + 1) land 0xFF in
+  Mem.ram_write mem poke_addr 1 v;
+  Array.iteri
+    (fun i pg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "page %d copied only if stored to" i)
+        (i = page)
+        (mem.Mem.pages.(i) != pg))
+    snap.World.s_pages;
+  Alcotest.(check int) "the snapshot keeps the old byte" old
+    (Char.code (Bytes.get snap.World.s_pages.(page) off));
+  let loaded0 = (World.stats w).World.pages_loaded in
+  let calls = ref [] in
+  World.restore w snap ~on_page:(fun i ~old -> calls := (i, old) :: !calls);
+  Alcotest.(check bool) "restore puts the snapshot's pages back by reference"
+    true
+    (Array.for_all2 ( == ) snap.World.s_pages mem.Mem.pages);
+  (match !calls with
+  | [ (i, prior) ] ->
+    Alcotest.(check int) "on_page names the changed page" page i;
+    Alcotest.(check int) "and hands over its prior bytes" v
+      (Char.code (Bytes.get prior off))
+  | l -> Alcotest.failf "on_page fired %d times, want 1" (List.length l));
+  Alcotest.(check int) "one page loaded" (loaded0 + 1)
+    (World.stats w).World.pages_loaded;
+  (* the restored page is shared again: the next store copies it *)
+  Mem.ram_write mem poke_addr 1 v;
+  Alcotest.(check int) "the snapshot is never written" old
+    (Char.code (Bytes.get snap.World.s_pages.(page) off))
 
+(* a snapshot taken before the code-cache write: restoring it would
+   revert the write if the exemption did not hold *)
 let test_shared_range_exempt () =
   let _ark, w, soc = mk () in
   let mem = soc.Soc.mem in
-  ignore (World.fork w);
   let addr = Soc.code_cache_base + 0x100 in
   let page = page_of soc addr in
+  let snap = World.fork w in
   let v = (Mem.ram_read mem addr 1 + 1) land 0xFF in
   Mem.ram_write mem addr 1 v;
-  let snap = World.fork w in
-  Alcotest.(check bool) "shared page never captured" false
-    (List.mem_assoc page snap.World.s_pages);
-  World.restore w snap;
-  Alcotest.(check int) "and never rewritten by restore" v
-    (Mem.ram_read mem addr 1)
+  let seen = ref false in
+  World.restore w snap ~on_page:(fun i ~old:_ -> if i = page then seen := true);
+  Alcotest.(check int) "restore leaves the shared page alone" v
+    (Mem.ram_read mem addr 1);
+  Alcotest.(check bool) "and reports no change to it" false !seen
 
 let test_restore_reverts_poke () =
   let _ark, w, soc = mk () in
@@ -204,9 +208,9 @@ let test_restore_reverts_poke () =
     ((old + 1) land 0xFF)
     (Mem.ram_read mem poke_addr 1)
 
-(* A page the baseline holds as never written, written by an instance
-   and restored: it must read back as zeros, and DRAM as a whole must
-   digest as the baseline did. *)
+(* A page never written before the fork, written by an instance and
+   restored: it must read back as zeros, and DRAM as a whole must
+   digest as it did at the fork. *)
 let test_restore_to_zero_page () =
   let _ark, w, soc = mk () in
   let mem = soc.Soc.mem in
@@ -227,12 +231,12 @@ let test_restore_to_zero_page () =
   Mem.ram_write mem (addr + Mem.page_size - 0x40) 1 0x5A;
   let snap1 = World.fork w in
   Alcotest.(check bool) "the diverged page was captured" true
-    (List.mem_assoc page snap1.World.s_pages);
+    (snap1.World.s_pages.(page) != snap0.World.s_pages.(page));
   World.restore w snap0;
   Alcotest.(check int) "restored word reads zero" 0 (Mem.ram_read mem addr 4);
   Alcotest.(check int) "restored byte reads zero" 0
     (Mem.ram_read mem (addr + Mem.page_size - 0x40) 1);
-  Alcotest.(check int) "DRAM digest equals the baseline's" digest0
+  Alcotest.(check int) "DRAM digest equals the fork point's" digest0
     (ram_digest soc);
   World.restore w snap1;
   Alcotest.(check int) "the sibling still holds its word" 0xDEADBEEF
@@ -251,10 +255,8 @@ let () =
           Alcotest.test_case "pending one-shot clock events survive"
             `Quick test_pending_events_replayed ] );
       ( "mechanics",
-        [ Alcotest.test_case "touched-but-reverted pages are free" `Quick
-            test_bitmap_false_dirty;
-          Alcotest.test_case "identical pages intern to one buffer" `Quick
-            test_intern_shares_page_content;
+        [ Alcotest.test_case "pages are shared until stored to" `Quick
+            test_pages_copy_on_write;
           Alcotest.test_case "shared ranges exempt from capture/restore"
             `Quick test_shared_range_exempt;
           Alcotest.test_case "restore back to a never-written page" `Quick
