@@ -1,27 +1,5 @@
-(* arksim — drive the transkernel simulation from the command line.
-
-     arksim run [--mode native|ark|mid|baseline] [--tier ark|superblock]
-                [--cache-dir DIR] [--cycles N]
-                [--kernel v3.16|v4.4|v4.9|v4.20] [--sleep-ms N]
-                [--glitch-every N] [--resume-native] [--m3-cache KB]
-                [--timeseries FILE] [--sample-every NS] [--manifest FILE]
-                [-v]
-     arksim report --baseline A --candidate B [--tolerance PCT]
-                [--only k1,k2]         diff two run manifests
-     arksim sweep --kind stress|fuzz|whatif [--tasks N] [--jobs J]
-                [--seed S] [--out FILE]  parallel campaign; same --seed
-                                       gives the same digest at any -j
-     arksim fleet --devices N [--arrival poisson|bursty|diurnal]
-                [--jobs J] [--seed S] [--duration-ms D] [--gap-ms G]
-                [--shard-cap C] [--reversed] [--out FILE]
-                                       sharded device population over
-                                       snapshotable worlds; the fleet
-                                       digest is invariant under -j
-     arksim compare [--cycles N]       native vs ARK side by side
-     arksim disasm SYMBOL              show a kernel function and its
-                                       ARK translation
-     arksim info                       platform, ABI and image inventory
-*)
+(* arksim — drive the transkernel simulation; `arksim --help` lists the
+   subcommands and `arksim CMD --help` their flags. *)
 
 open Cmdliner
 open Tk_harness
@@ -396,6 +374,17 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
       "run: --tier superblock and --cache-dir require --mode ark\n";
     exit 2
   end;
+  if mode = `Native then
+    List.iter
+      (fun (flag, given) ->
+        if given then begin
+          Printf.eprintf
+            "run: --%s requires an offloaded mode, not --mode native\n" flag;
+          exit 2
+        end)
+      [ ("quantum", quantum <> 0); ("m3-cache", m3_cache <> None);
+        ("resume-native", resume_native); ("profile", profile);
+        ("glitch-every", glitch_every <> 0) ];
   if (certify_traces || elide_smc) && not superblock then begin
     Printf.eprintf
       "run: --certify-traces and --elide-smc-probes require --tier \

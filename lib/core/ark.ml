@@ -220,6 +220,12 @@ let classify_of_man (man : Manifest.t) addr =
     Translator.T_cold n
   | Some _ | None -> Translator.T_normal
 
+(* an interrupt ARK would deliver now. O(1): it is polled at every
+   translation-block boundary *)
+let irq_deliverable t =
+  (not t.in_irq) && t.engine.Engine.irq_dispatch
+  && Intc.deliverable t.soc.Soc.fabric.Intc.nvic
+
 (** [create ~soc ~mode ~manifest ()] prepares ARK on the peripheral core.
     [mode] selects the DBT optimization level (the Figure 6 bars);
     [superblock] stacks the trace-formation tier on top of [Ark]. *)
@@ -323,41 +329,37 @@ and gic_access t ~write off_addr value =
 and irq_window t = if not t.in_irq then ignore (deliver_pending_irq t)
 
 and deliver_pending_irq t =
-  if t.in_irq || not t.engine.Engine.irq_dispatch then false
+  if not (irq_deliverable t) then false
   else begin
     let fab = t.soc.Soc.fabric in
-    (* O(1) poll: this runs at every translation-block boundary *)
-    if not (Intc.deliverable fab.Intc.nvic) then false
-    else begin
-      let nline = Intc.ack fab.Intc.nvic in
-      Intc.eoi fab.Intc.nvic nline;
-      let pline = fab.Intc.reverse_route nline in
-      (* the CPU-side view must not see it again after handback *)
-      Intc.clear_pending fab.Intc.gic pline;
-      charge_emu t cost_early_irq;
-      Counters.incr t.counters "emu.early_irq";
-      let irq_ctx =
-        match find_ctx t (fun c -> c.Context.kind = Context.Irq) with
-        | Some c -> c
-        | None -> raise (Ark_error "no irq context")
-      in
-      irq_ctx.Context.pending <- irq_ctx.Context.pending @ [ pline ];
-      irq_ctx.Context.state <- Context.Ready;
-      t.in_irq <- true;
-      let saved = t.current in
-      (match saved with Some c -> sync_out t c | None -> ());
-      with_deadline_suppressed t (fun () -> run_ctx t irq_ctx);
-      (match saved with Some c -> sync_in t c | None -> ());
-      t.current <- saved;
-      t.in_irq <- false;
-      (* kick threaded-irq daemons: they re-check their flag (guest
-         state) and re-park if spurious *)
-      List.iter
-        (fun (c : Context.t) ->
-          match c.kind with Context.Irq_thread _ -> wake c | _ -> ())
-        t.contexts;
-      true
-    end
+    let nline = Intc.ack fab.Intc.nvic in
+    Intc.eoi fab.Intc.nvic nline;
+    let pline = fab.Intc.reverse_route nline in
+    (* the CPU-side view must not see it again after handback *)
+    Intc.clear_pending fab.Intc.gic pline;
+    charge_emu t cost_early_irq;
+    Counters.incr t.counters "emu.early_irq";
+    let irq_ctx =
+      match find_ctx t (fun c -> c.Context.kind = Context.Irq) with
+      | Some c -> c
+      | None -> raise (Ark_error "no irq context")
+    in
+    irq_ctx.Context.pending <- irq_ctx.Context.pending @ [ pline ];
+    irq_ctx.Context.state <- Context.Ready;
+    t.in_irq <- true;
+    let saved = t.current in
+    (match saved with Some c -> sync_out t c | None -> ());
+    with_deadline_suppressed t (fun () -> run_ctx t irq_ctx);
+    (match saved with Some c -> sync_in t c | None -> ());
+    t.current <- saved;
+    t.in_irq <- false;
+    (* kick threaded-irq daemons: they re-check their flag (guest
+       state) and re-park if spurious *)
+    List.iter
+      (fun (c : Context.t) ->
+        match c.kind with Context.Irq_thread _ -> wake c | _ -> ())
+      t.contexts;
+    true
   end
 
 (* ------------------------- context slices --------------------------- *)
@@ -434,6 +436,9 @@ and run_ctx ?(resume = false) t (ctx : Context.t) =
 
 (* simple round-robin over the runnable contexts (§4.1), so a yielding
    primary cannot starve the deferred-work contexts *)
+let schedulable (c : Context.t) =
+  Context.is_runnable c && c.Context.kind <> Context.Irq
+
 let pick_ready t =
   let cs = Array.of_list t.contexts in
   let n = Array.length cs in
@@ -441,7 +446,7 @@ let pick_ready t =
     if i >= n then None
     else
       let c = cs.((t.rr + i) mod n) in
-      if Context.is_runnable c && c.Context.kind <> Context.Irq then begin
+      if schedulable c then begin
         t.rr <- (t.rr + i + 1) mod n;
         Some c
       end
@@ -466,31 +471,9 @@ let primary t =
   | Some c -> c
   | None -> raise (Ark_error "no primary context")
 
-let rec schedule_loop t =
-  let p = primary t in
-  let guard = ref 0 in
-  while p.Context.state <> Context.Done && t.fell_back = None do
-    incr guard;
-    if !guard > 5_000_000 then raise (Ark_error "scheduler livelock");
-    (match pick_ready t with
-    | Some ctx -> (
-      (* emulated scheduler tick *)
-      charge_emu t cost_tick;
-      try run_ctx t ctx
-      with Fallback_exc (reason, guest_pc, fctx) ->
-        sync_out t fctx;
-        t.current <- None;
-        perform_fallback t fctx ~reason ~guest_pc)
-    | None ->
-      (* an interrupt may be pending with every context asleep *)
-      if not (deliver_pending_irq t) then
-        if not (Core.idle_until_event t.soc.Soc.m3) then
-          raise (Ark_error "ARK deadlock: nothing runnable and no events"))
-  done
-
 (* --------------------------- fallback (§6) -------------------------- *)
 
-and guest_state_of t (ctx : Context.t) ~guest_pc =
+let guest_state_of t (ctx : Context.t) ~guest_pc =
   sync_in t ctx;
   let regs = Array.make 16 0 in
   for i = 0 to 14 do
@@ -515,9 +498,11 @@ and guest_state_of t (ctx : Context.t) ~guest_pc =
   done;
   { g_regs = regs; g_flags = flags }
 
-and rewrite_stack t (ctx : Context.t) =
-  (* §5.3: rewrite all code-cache addresses on the guest stack *)
-  let sp_v = ctx.Context.cpu.Exec.r.(sp) in
+let rewrite_stack t (ctx : Context.t) =
+  (* §5.3: rewrite all code-cache addresses on the guest stack. Mid
+     and Baseline keep the guest SP in the env block, not in host r13 *)
+  sync_in t ctx;
+  let sp_v = Engine.guest_reg t.engine ctx.Context.cpu sp in
   let rewritten = ref 0 in
   let a = ref (sp_v land lnot 3) in
   while !a < ctx.stack_top do
@@ -536,7 +521,7 @@ and rewrite_stack t (ctx : Context.t) =
   done;
   !rewritten
 
-and perform_fallback t (ctx : Context.t) ~reason ~guest_pc =
+let perform_fallback t (ctx : Context.t) ~reason ~guest_pc =
   with_deadline_suppressed t @@ fun () ->
   Counters.incr t.counters "fallback.migrations";
   (* drain the other contexts to their parking points on the peripheral
@@ -572,8 +557,8 @@ and perform_fallback t (ctx : Context.t) ~reason ~guest_pc =
 (** [phase_begin t which] — the handoff prelude of a phase: reset the
     per-phase context states, mirror the CPU's interrupt-enable state
     into the NVIC, stage the primary context at the phase entry and arm
-    the scheduler tick. Drive to completion with {!schedule_loop} (via
-    {!run_phase}) or in bounded-quantum slices with {!phase_step}, then
+    the scheduler tick. Drive it with {!phase_step}, to completion (no
+    deadline, as {!run_phase} does) or in bounded-quantum slices, then
     collect the {!outcome} with {!phase_finish}. *)
 let phase_begin t (which : [ `Suspend | `Resume ]) =
   let entry =
@@ -634,21 +619,35 @@ let phase_finish t : outcome =
   | Some (reason, st) -> Fell_back { fb_reason = reason; fb_state = st }
   | None -> Completed
 
-(** [phase_step t ~deadline] — the bounded-quantum slice of
-    {!schedule_loop}: dispatch contexts (resuming a quantum-paused one
-    first, without recharging the scheduler tick) until the M3 clock
-    reaches absolute time [deadline], the phase completes or falls back
-    ([`Done]), or nothing is runnable and no M3-side event is pending
-    ([`Blocked] — under the lockstep scheduler a cross-core commit may
-    still wake a context, where the sequential loop would declare
-    deadlock). The dispatch sequence over a whole phase is exactly the
-    sequential one cut at quantum boundaries, which is what makes
-    [--quantum 1] digest-identical. *)
+(* nothing to run, no interrupt to deliver and no M3-side event: what
+   [phase_step]'s loop calls blocked, for a call made at its deadline *)
+let stalled t =
+  t.paused = None
+  && (not (List.exists schedulable t.contexts))
+  && (not (irq_deliverable t))
+  && Clock.next_event_time t.soc.Soc.m3.Core.clock = None
+
+(** [phase_step t ~deadline] — the ARK scheduler: dispatch contexts
+    (resuming a quantum-paused one first, without recharging the
+    scheduler tick) until the M3 clock reaches absolute time [deadline],
+    the phase completes or falls back ([`Done]), or nothing is runnable
+    and no M3-side event is pending ([`Blocked]; under the lockstep
+    scheduler a cross-core commit may still wake a context). With no
+    deadline ([max_int]) it is the sequential scheduler; at any other,
+    the dispatch sequence over a whole phase is that one cut at quantum
+    boundaries, which makes [--quantum 1] digest-identical. *)
 let phase_step t ~deadline : [ `Runnable | `Blocked | `Done ] =
   let p = primary t in
   let m3 = t.soc.Soc.m3 in
   let m3clock = m3.Core.clock in
   let eng = t.engine in
+  let run ?resume ctx =
+    try run_ctx t ?resume ctx
+    with Fallback_exc (reason, guest_pc, fctx) ->
+      sync_out t fctx;
+      t.current <- None;
+      perform_fallback t fctx ~reason ~guest_pc
+  in
   let guard = ref 0 in
   let blocked = ref false in
   while
@@ -660,41 +659,37 @@ let phase_step t ~deadline : [ `Runnable | `Blocked | `Done ] =
     incr guard;
     if !guard > 5_000_000 then raise (Ark_error "scheduler livelock");
     eng.Engine.deadline_ns <- deadline;
-    (match t.paused with
-    | Some ctx -> (
+    match t.paused with
+    | Some ctx ->
       t.paused <- None;
-      try run_ctx t ~resume:true ctx
-      with Fallback_exc (reason, guest_pc, fctx) ->
-        sync_out t fctx;
-        t.current <- None;
-        perform_fallback t fctx ~reason ~guest_pc)
+      run ~resume:true ctx
     | None -> (
       match pick_ready t with
-      | Some ctx -> (
+      | Some ctx ->
+        (* emulated scheduler tick *)
         charge_emu t cost_tick;
-        try run_ctx t ctx
-        with Fallback_exc (reason, guest_pc, fctx) ->
-          sync_out t fctx;
-          t.current <- None;
-          perform_fallback t fctx ~reason ~guest_pc)
+        run ctx
       | None ->
+        (* an interrupt may be pending with every context asleep *)
         if not (deliver_pending_irq t) then
-          if Clock.next_event_time m3clock = None then blocked := true
-          else ignore (Core.idle_until_limit m3 ~limit:deadline)))
+          blocked := not (Core.idle_until m3 ~limit:deadline))
   done;
   eng.Engine.deadline_ns <- max_int;
   if p.Context.state = Context.Done || t.fell_back <> None then `Done
-  else if !blocked then `Blocked
+  else if !blocked || (m3clock.Clock.now >= deadline && stalled t) then
+    `Blocked
   else `Runnable
 
 (** [run_phase t which] executes one offloaded device phase
-    ([`Suspend] or [`Resume]) to completion or fallback. The handoff has
-    already shut down the CPU; on return the caller (the CPU-side
-    module) resumes native execution. *)
+    ([`Suspend] or [`Resume]) to completion or fallback: {!phase_step}
+    with no deadline. The handoff has already shut down the CPU; on
+    return the caller (the CPU-side module) resumes native execution. *)
 let run_phase t (which : [ `Suspend | `Resume ]) : outcome =
   phase_begin t which;
   Fun.protect
     ~finally:(fun () -> t.tick_on <- false)
     (fun () ->
-      schedule_loop t;
-      phase_finish t)
+      match phase_step t ~deadline:max_int with
+      | `Done -> phase_finish t
+      | `Blocked | `Runnable ->
+        raise (Ark_error "ARK deadlock: nothing runnable and no events"))

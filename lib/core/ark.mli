@@ -106,9 +106,9 @@ val run_phase : t -> [ `Suspend | `Resume ] -> outcome
     flush and IPI of §6 have been performed and [fb_state] is ready to
     resume natively. *)
 
-(** {1 Bounded-quantum slicing} (the lockstep scheduler's view of a
-    phase: [phase_begin], then [phase_step] per quantum, then
-    [phase_finish]) *)
+(** {1 The phase in pieces} ({!run_phase} is [phase_begin], one
+    [phase_step] with no deadline, then [phase_finish]; the lockstep
+    scheduler calls [phase_step] once per quantum) *)
 
 val phase_begin : t -> [ `Suspend | `Resume ] -> unit
 (** the handoff prelude of {!run_phase}: reset per-phase context state,
@@ -116,13 +116,15 @@ val phase_begin : t -> [ `Suspend | `Resume ] -> unit
     primary context at the phase entry, arm the scheduler tick *)
 
 val phase_step : t -> deadline:int -> [ `Blocked | `Done | `Runnable ]
-(** dispatch contexts until the M3 clock reaches absolute time
-    [deadline] ([`Runnable] — call again with a later deadline), the
-    phase completes or falls back ([`Done]), or nothing is runnable and
-    no M3-side event is pending ([`Blocked] — only a cross-core commit
-    can make progress). The dispatch sequence over a whole phase is the
-    sequential one cut at quantum boundaries: at [--quantum 1] digests
-    are byte-identical to {!run_phase}. *)
+(** the ARK scheduler: dispatch contexts until the M3 clock reaches
+    absolute time [deadline] ([`Runnable] — call again with a later
+    deadline), the phase completes or falls back ([`Done]), or nothing
+    is runnable and no M3-side event is pending ([`Blocked] — only a
+    cross-core commit can make progress), also when called at its
+    deadline. With [deadline = max_int] it is the sequential scheduler;
+    at any other, the dispatch sequence over a whole phase is that one
+    cut at quantum boundaries, so at [--quantum 1] digests are
+    byte-identical to {!run_phase}. *)
 
 val phase_finish : t -> outcome
 (** stop the scheduler tick and collect the phase outcome *)

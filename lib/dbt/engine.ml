@@ -263,60 +263,31 @@ let rec create ~(soc : Soc.t) ~mode () =
   let m3 = soc.Soc.m3 in
   let mem = soc.Soc.mem in
   let sub = rc.Tk_stats.Recorder.sub in
-  let m3_ev kind a b =
-    Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3 kind a b
-  in
+  let tcore = Tk_stats.Trace.core_m3 in
   (* gic-private accesses surface as controller events, not reads *)
   let load addr nbytes =
     if Soc.is_cpu_private addr then begin
       charge t cost_gic_fault;
       t.cb.on_gic_access ~write:false addr 0
     end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:false addr in
-      Core.charge_stall m3 stall;
-      if sub.Tk_stats.Substrate.tracing then
-        m3_ev Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if sub.Tk_stats.Substrate.tracing then
-        m3_ev Tk_stats.Trace.ev_read addr m3.Core.p.Core.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
+    else Core.load m3 mem rc ~tcore addr nbytes
   in
+  (* superblock store-invalidation probe after a RAM store: host-only
+     (no simulated charges), so the seed tiers' timelines are untouched.
+     The image-span gate is inline so the overwhelmingly common
+     data-region store pays two compares, not a call; the widened lower
+     bound covers a store whose tail word straddles into the image. *)
   let store addr nbytes v =
     if Soc.is_cpu_private addr then begin
       charge t cost_gic_fault;
       ignore (t.cb.on_gic_access ~write:true addr v)
     end
-    else if Mem.in_ram mem addr then begin
-      let stall = Cache.access m3.Core.cache ~write:true addr in
-      Core.charge_stall m3 stall;
-      if sub.Tk_stats.Substrate.tracing then
-        m3_ev Tk_stats.Trace.ev_write addr stall;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v;
-      (* superblock store-invalidation probe: host-only (no simulated
-         charges), so the seed tiers' timelines are untouched. The
-         image-span gate is inline so the overwhelmingly common
-         data-region store pays two compares, not a call; the widened
-         lower bound covers a store whose tail word straddles into the
-         image. *)
-      if
-        t.superblock
-        && addr + nbytes > Soc.kernel_base
-        && addr < Soc.page_pool_base
-      then sb_store_check t addr nbytes
-    end
-    else begin
-      Core.charge m3 m3.Core.p.Core.mmio_penalty;
-      if sub.Tk_stats.Substrate.tracing then
-        m3_ev Tk_stats.Trace.ev_write addr m3.Core.p.Core.mmio_penalty;
-      Mem.write mem addr nbytes v
-    end
+    else if
+      Core.store m3 mem rc ~tcore addr nbytes v
+      && t.superblock
+      && addr + nbytes > Soc.kernel_base
+      && addr < Soc.page_pool_base
+    then sb_store_check t addr nbytes
   in
   let svc cpu n = dispatch t cpu n in
   let wfi _ = raise (Host_error "host wfi in translated code") in
@@ -535,7 +506,7 @@ and sb_record_succ t (b : Translator.block) =
    conditional control, load + dependent ALU, movw + movt. The second
    element of a marked pair executes in the same issue slot as the
    first: it keeps its instruction count and cache traffic but the base
-   CPI is waived (see the superblock run loop). Pair shapes survive
+   CPI is waived ([Core.retire ~fused:true]). Pair shapes survive
    patching — the first element is never a site, and a patched site only
    turns an SVC into a branch, which stays in the control class. *)
 and sb_pair_fusable (a : inst) (b : inst) =
@@ -888,21 +859,23 @@ let set_smc_map t ranges =
    - A pending whole-cache flush (self-modifying guest) is consumed at
      the probe, before the block's fetch — the next-boundary semantics
      matching the interpreter's next-fetch granularity.
-   - The boundary work lives out of line in {!block_boundary}, and the
-     per-instruction retire accounting ([Core.retire] and its
-     [charge]/[Clock.advance] call chain) is inlined, keeping the loop
-     body register-tight. A warm cycle allocates under 0.1 minor words
-     per retired instruction (test_neutrality pins this for every
-     tier): the loop body allocates nothing, and a data-cache hit's
+   - The boundary work lives out of line in {!block_boundary}. Each
+     instruction's accounting is one [Core.retire], and each data
+     access one [Core.load] or [Core.store], the same calls the
+     interpreter makes; the release build inlines them with their
+     [Cache.access]/[Clock.advance] chain, keeping the loop body
+     register-tight. A warm cycle allocates under 0.1 minor words per
+     retired instruction (test_neutrality pins this for every tier):
+     the loop body allocates nothing, and a data-cache hit's
      [Core.charge_stall] enters the event queue only when an event is
      due.
    - Each instruction runs as its pre-decoded slot's compiled closure
      ({!Exec.compile}), with its operands resolved at decode time.
    - A host word marked in [fuse_next] (superblock tier) makes the next
-     iteration a fused slot: the partner issues with its predecessor,
-     keeping its instruction count and its cache traffic but not its
-     base CPI, and it skips the fuel count, the sampler tick and the
-     probe.
+     iteration a fused slot: the partner issues with its predecessor
+     ([Core.retire ~fused:true]), keeping its instruction count and its
+     cache traffic but not its base CPI, and it skips the fuel count,
+     the sampler tick and the probe.
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
@@ -910,13 +883,7 @@ let set_smc_map t ranges =
    guest instructions). *)
 let run_loop t (cpu : Exec.cpu) ~fuel =
   let m3 = t.soc.Soc.m3 in
-  let cache = m3.Core.cache in
-  let tags = cache.Cache.tags in
-  let line_bits = cache.Cache.line_bits in
-  let set_mask = cache.Cache.set_mask in
   let clock = m3.Core.clock in
-  let cpi_num = m3.Core.p.Core.cpi_num in
-  let cpi_den = m3.Core.p.Core.cpi_den in
   let rc = t.rc in
   (* recording never toggles while translated code is executing, so the
      decision is hoisted: the disabled loop tests only an immutable
@@ -965,57 +932,7 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
     t.cur_pc <- pcv;
     t.pc_overridden <- false;
     t.host_executed <- t.host_executed + 1;
-    (* [Core.retire m3 pcv], inlined with its charge/advance call chain
-       and the CPI carry resolution — side effects and cycle arithmetic
-       identical (count, I-fetch through the cache, then base CPI +
-       stall booked to the clock). A fused partner books no base CPI,
-       which leaves exactly [Core.charge_stall m3 stall]. *)
-    m3.Core.instructions <- m3.Core.instructions + 1;
-    (* I-fetch hit fast path of [Cache.access ~write:false], inlined; a
-       tag mismatch falls back to the full call, which re-runs the
-       (still-missing) lookup and books the miss identically *)
-    let stall =
-      let line = pcv lsr line_bits in
-      let set =
-        if set_mask >= 0 then line land set_mask
-        else line mod cache.Cache.nsets
-      in
-      if Array.unsafe_get tags set = line then begin
-        cache.Cache.hits <- cache.Cache.hits + 1;
-        0
-      end
-      else Cache.access cache ~write:false pcv
-    in
-    if stall <> 0 then m3.Core.stall_cycles <- m3.Core.stall_cycles + stall;
-    let base =
-      if partner then 0
-      else if cpi_num = 0 then 1
-      else begin
-        let acc = m3.Core.cpi_acc + cpi_num in
-        if acc < cpi_den then begin m3.Core.cpi_acc <- acc; 1 end
-        else if acc < 2 * cpi_den then begin
-          m3.Core.cpi_acc <- acc - cpi_den; 2
-        end
-        else if acc < 3 * cpi_den then begin
-          m3.Core.cpi_acc <- acc - (2 * cpi_den); 3
-        end
-        else begin
-          m3.Core.cpi_acc <- acc mod cpi_den;
-          1 + (acc / cpi_den)
-        end
-      end
-    in
-    let cycles = base + stall in
-    m3.Core.busy_cycles <- m3.Core.busy_cycles + cycles;
-    let dps = cycles * m3.Core.ps_per_cycle in
-    let ps = dps + m3.Core.frac_ps in
-    m3.Core.busy_ps <- m3.Core.busy_ps + dps;
-    let q =
-      if ps < 0x1_0000_0000 then (ps * 274877907) asr 38 else ps / 1000
-    in
-    m3.Core.frac_ps <- ps - (q * 1000);
-    clock.Clock.now <- clock.Clock.now + q;
-    if clock.Clock.next_at <= clock.Clock.now then Clock.run_due clock;
+    Core.retire m3 pcv ~fused:partner;
     if recording && sub.Tk_stats.Substrate.tracing then
       Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3
         Tk_stats.Trace.ev_retire pcv 0;

@@ -142,34 +142,33 @@ let receive_fallback t (st : Ark.guest_state) =
    with Interp.Halt _ -> ());
   nat.Native_run.last_exit_r0
 
+(* fold one lockstep run's stats into the cumulative [ls_*] fields *)
+let add_lockstep_stats t (st : Lockstep.stats) =
+  t.ls_rounds <- t.ls_rounds + st.Lockstep.rounds;
+  t.ls_commits <- t.ls_commits + st.Lockstep.commits;
+  t.ls_max_skew_ns <- max t.ls_max_skew_ns st.Lockstep.max_skew_ns
+
 (* [offload_phase t which] — run one offloaded phase under the
    configured scheduler: sequential ([quantum = 0]) or sliced on the
-   shared clock in bounded quanta. The slicing pauses only at resumable
-   points (instruction/probe boundaries, the idle loop), so every
-   quantum produces the same architectural results — at [--quantum 1]
-   this is CI-gated byte-identity. *)
+   shared clock in bounded quanta, a one-lane lockstep run. The slicing
+   pauses only at resumable points (instruction/probe boundaries, the
+   idle loop), so every quantum produces the same architectural results
+   — at [--quantum 1] this is CI-gated byte-identity. *)
 let offload_phase t which : Ark.outcome =
   if t.quantum <= 0 then Ark.run_phase t.ark which
   else begin
     let ark = t.ark in
-    let m3clock = (plat t).soc.Soc.m3.Core.clock in
+    (* the handoff prelude charges M3 time before the lane starts *)
     Ark.phase_begin ark which;
     Fun.protect
       ~finally:(fun () -> ark.Ark.tick_on <- false)
       (fun () ->
-        let deadline = ref m3clock.Clock.now in
-        let rec go () =
-          deadline := !deadline + t.quantum;
-          t.ls_rounds <- t.ls_rounds + 1;
-          match Ark.phase_step ark ~deadline:!deadline with
-          | `Runnable -> go ()
-          | `Done -> ()
-          | `Blocked ->
-            (* solo lane: no cross-core commit can ever wake it — the
-               same condition the sequential scheduler calls deadlock *)
-            raise (Ark.Ark_error "ARK deadlock: nothing runnable and no events")
+        let m3 =
+          { Lockstep.l_name = "m3"; l_clock = (plat t).soc.Soc.m3.Core.clock;
+            l_run = (fun ~deadline -> Ark.phase_step ark ~deadline) }
         in
-        go ();
+        add_lockstep_stats t
+          (Lockstep.run (Lockstep.create ~quantum:t.quantum [ m3 ]));
         Ark.phase_finish ark)
   end
 
@@ -330,9 +329,7 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
               ~on_barrier:(fun () -> Tk_stats.Recorder.barrier rc)
               ls)
       in
-      t.ls_rounds <- t.ls_rounds + st.Lockstep.rounds;
-      t.ls_commits <- t.ls_commits + st.Lockstep.commits;
-      t.ls_max_skew_ns <- max t.ls_max_skew_ns st.Lockstep.max_skew_ns;
+      add_lockstep_stats t st;
       Ark.phase_finish t.ark)
 
 (** [concurrent_cycle t] — one full ephemeral-task cycle with both

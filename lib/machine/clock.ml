@@ -42,7 +42,8 @@ type t = {
       (** [at] of the earliest live event, [max_int] when none — may
           transiently under-report after a root cancellation, which only
           costs callers a spurious {!run_due} (it fires nothing). The
-          DBT engine's inlined fast path reads this field directly. *)
+          guard of {!advance}, inlined into both execution loops, reads
+          it once per retired instruction. *)
 }
 
 let dummy = { at = 0; seq = -1; fn = ignore; live = false }
@@ -139,8 +140,8 @@ let at t ns fn =
   fun () ->
     if ev.live then begin
       ev.live <- false;
-      (* keep [next_at] honest when the root died, so the engine's
-         inlined fast-path check stays cheap and rarely spurious *)
+      (* keep [next_at] honest when the root died, so the guard of
+         {!advance} stays cheap and rarely spurious *)
       if t.size > 0 && t.heap.(0) == ev then purge t
     end
 
@@ -180,36 +181,20 @@ let next_event_time t =
   purge t;
   if t.size = 0 then None else Some t.heap.(0).at
 
-(** [skip_to_next_event t] fast-forwards to the next event and fires it;
-    returns the ns skipped. Returns [None] when no event is pending —
-    a deadlocked WFI, which callers treat as a simulation bug. *)
-let skip_to_next_event t =
+(** [skip_to_next_event t ~limit] fast-forwards to the next event, but
+    never past absolute time [limit] (a quantum boundary; [max_int] for
+    none), and fires whatever is due there; returns the ns skipped. An
+    event past [limit] stays pending, with time at [limit].
+    Returns [None], with time unmoved, when no event is pending. *)
+let skip_to_next_event t ~limit =
   match next_event_time t with
   | None -> None
   | Some at ->
-    let skipped = max 0 (at - t.now) in
-    t.now <- max t.now at;
+    let target = max t.now (min at limit) in
+    let skipped = target - t.now in
+    t.now <- target;
     run_due t;
     Some skipped
-
-(** [skip_to_next_event_before t ~limit] — like {!skip_to_next_event}
-    but never past absolute time [limit]: if the next event lies at or
-    beyond [limit], idle only up to [limit] (firing whatever becomes due
-    there) and return [`Capped ns]. The lockstep scheduler uses this so
-    an idling core cannot overrun its quantum boundary. *)
-let skip_to_next_event_before t ~limit =
-  match next_event_time t with
-  | Some at when at < limit ->
-    let skipped = max 0 (at - t.now) in
-    t.now <- max t.now at;
-    run_due t;
-    `Skipped skipped
-  | (None | Some _) when t.now < limit ->
-    let skipped = limit - t.now in
-    t.now <- limit;
-    run_due t;
-    `Capped skipped
-  | _ -> `Capped 0
 
 (* --------------------------- snapshots ---------------------------- *)
 

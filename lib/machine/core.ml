@@ -1,11 +1,17 @@
 (** Per-core timing and activity accounting.
 
     A core charges cycles for every retired instruction (plus cache-miss
-    stalls and uncached-IO penalties) and the platform clock advances
-    accordingly — only one core runs at a time, matching the paper's
-    execution model (all other CPU cores are shut down around the
-    offloaded phase). WFI fast-forwards to the next platform event and
-    books the gap as idle.
+    stalls and uncached-IO penalties) and advances its clock
+    accordingly: the platform clock, or a private lane while the
+    lockstep scheduler runs both cores in one concurrent segment. WFI
+    fast-forwards to the next event on that clock and books the gap as
+    idle.
+
+    Both execution loops, the A9 interpreter ({!Interp}) and the DBT
+    engine on the M3, call {!retire} once per instruction and {!load} /
+    {!store} once per data access, so a core's cycle accounting lives in
+    this module alone. The release build inlines these calls into the
+    loops.
 
     Busy/idle picosecond totals per core are what Figure 5a plots and the
     energy model integrates. *)
@@ -78,38 +84,22 @@ let charge_stall t stall =
   end
   else Clock.advance t.clock 0
 
-(** [fetch_cost t addr] is the stall cost of fetching from [addr] through
-    this core's cache. *)
-let fetch_cost t addr = Cache.access t.cache ~write:false addr
-
 (** [set_clock t clock] — retarget the core's time charges (lockstep
     lane attach/detach; the sequential scheduler never calls it). *)
 let set_clock t clock = t.clock <- clock
 
-(** [idle_until_event t] models WFI: sleep to the next platform event.
-    Returns [false] when no event is pending (deadlock — callers raise). *)
-let idle_until_event t =
-  match Clock.skip_to_next_event t.clock with
+(** [idle_until t ~limit] models WFI: sleep to the next event on the
+    core's clock, but never past absolute time [limit] (a quantum
+    boundary, or [max_int] for none), and book the gap as idle. A gap
+    taken in pieces books the same idle total as in one, so a sliced
+    run charges the sequential run's busy/idle split. Returns [false],
+    with time unmoved, when no event is pending. *)
+let idle_until t ~limit =
+  match Clock.skip_to_next_event t.clock ~limit with
   | None -> false
   | Some skipped_ns ->
     t.idle_ps <- t.idle_ps + (skipped_ns * 1000);
     true
-
-(** [idle_until_limit t ~limit] — WFI bounded by a quantum boundary:
-    sleep to the next event, or only as far as absolute time [limit]
-    when the event lies at or beyond it (or none is pending). The idle
-    gap books identically to {!idle_until_event} taken in pieces, so a
-    solo-core lockstep run charges byte-identical busy/idle totals.
-    Returns [false] iff the queue was empty (the caller decides whether
-    a cross-lane commit can still arrive before calling it deadlock). *)
-let idle_until_limit t ~limit =
-  let had_event = Clock.next_event_time t.clock <> None in
-  (match Clock.skip_to_next_event_before t.clock ~limit with
-  | `Skipped ns | `Capped ns -> t.idle_ps <- t.idle_ps + (ns * 1000));
-  had_event
-
-(** [count_instruction t] bumps the retired-instruction counter. *)
-let count_instruction t = t.instructions <- t.instructions + 1
 
 (** [instr_cycles t] — base cycles for one instruction under the core's
     fractional CPI model (1 + cpi_num/cpi_den on average). *)
@@ -130,18 +120,58 @@ let instr_cycles t =
     end
   end
 
-(** [retire t addr] — fused per-instruction accounting for the hot
-    interpreter loops: count the instruction and charge base CPI plus
-    the fetch stall in one call. Cycle-identical to
-    [count_instruction t; charge t (instr_cycles t + fetch_cost t addr)]
-    including side-effect order (the fetch's cache access happens before
-    the CPI accumulator update, as in the seed's right-to-left argument
-    evaluation). *)
-let retire t addr =
+(** [retire t addr ~fused] — one retired instruction: count it, fetch
+    it from [addr] through the cache, and charge its base CPI plus the
+    fetch stall. The fetch's cache access happens before the CPI carry.
+    A fused macro-op partner ([~fused:true], superblock tier) issues
+    with its predecessor: it is counted and books its fetch stall, but
+    no base CPI. *)
+let retire t addr ~fused =
   t.instructions <- t.instructions + 1;
   let stall = Cache.access t.cache ~write:false addr in
   if stall <> 0 then t.stall_cycles <- t.stall_cycles + stall;
-  charge t (instr_cycles t + stall)
+  charge t ((if fused then 0 else instr_cycles t) + stall)
+
+(* a data access on the flight recorder, when it is on *)
+let trace_access rc ~tcore kind addr stall =
+  if rc.Tk_stats.Recorder.sub.Tk_stats.Substrate.tracing then
+    Tk_stats.Recorder.event rc ~core:tcore kind addr stall
+
+(** [load t mem rc ~tcore addr nbytes] — a data load by this core. RAM
+    goes through the cache: its stall is charged and the read traced
+    with it, as core [tcore]. Anything else is MMIO and pays the core's
+    uncached penalty. *)
+let load t mem rc ~tcore addr nbytes =
+  if Mem.in_ram mem addr then begin
+    let stall = Cache.access t.cache ~write:false addr in
+    charge_stall t stall;
+    trace_access rc ~tcore Tk_stats.Trace.ev_read addr stall;
+    if nbytes = 4 then Mem.ram_read32 mem addr
+    else Mem.ram_read mem addr nbytes
+  end
+  else begin
+    charge t t.p.mmio_penalty;
+    trace_access rc ~tcore Tk_stats.Trace.ev_read addr t.p.mmio_penalty;
+    Mem.read mem addr nbytes
+  end
+
+(** [store t mem rc ~tcore addr nbytes v] — a data store, charged and
+    traced like {!load}. Returns whether it wrote RAM. *)
+let store t mem rc ~tcore addr nbytes v =
+  if Mem.in_ram mem addr then begin
+    let stall = Cache.access t.cache ~write:true addr in
+    charge_stall t stall;
+    trace_access rc ~tcore Tk_stats.Trace.ev_write addr stall;
+    if nbytes = 4 then Mem.ram_write32 mem addr v
+    else Mem.ram_write mem addr nbytes v;
+    true
+  end
+  else begin
+    charge t t.p.mmio_penalty;
+    trace_access rc ~tcore Tk_stats.Trace.ev_write addr t.p.mmio_penalty;
+    Mem.write mem addr nbytes v;
+    false
+  end
 
 let busy_ns t = t.busy_ps / 1000
 let idle_ns t = t.idle_ps / 1000

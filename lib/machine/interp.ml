@@ -72,32 +72,17 @@ let create ~(soc : Soc.t) () =
   in
   let mem = soc.mem in
   let sub = rc.Tk_stats.Recorder.sub in
-  let cpu_ev kind a b =
-    Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_cpu kind a b
-  in
-  let load addr nbytes =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:false addr in
-      Core.charge_stall core stall;
-      if sub.Tk_stats.Substrate.tracing then
-        cpu_ev Tk_stats.Trace.ev_read addr stall;
-      if nbytes = 4 then Mem.ram_read32 mem addr
-      else Mem.ram_read mem addr nbytes
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      if sub.Tk_stats.Substrate.tracing then
-        cpu_ev Tk_stats.Trace.ev_read addr core.p.mmio_penalty;
-      Mem.read mem addr nbytes
-    end
-  in
-  (* self-modifying code safety: drop any stale decode for a word the
-     store touches. A store may straddle a word boundary (e.g. a 4-byte
-     store at an unaligned address), so both affected words are
-     invalidated. A span word past the dense array was never fetched.
-     Out of the span, the fallback table is empty in practice, so the
-     stack and heap stores skip hashing into it. The flight recorder
-     hears of the invalidations that drop a decoded word. *)
+  let tcore = Tk_stats.Trace.core_cpu in
+  let cpu_ev kind a b = Tk_stats.Recorder.event rc ~core:tcore kind a b in
+  let load addr nbytes = Core.load core mem rc ~tcore addr nbytes in
+  (* self-modifying code safety: after a RAM store, drop any stale
+     decode for a word the store touched. A store may straddle a word
+     boundary (e.g. a 4-byte store at an unaligned address), so both
+     affected words are invalidated. A span word past the dense array
+     was never fetched. Out of the span, the fallback table is empty in
+     practice, so the stack and heap stores skip hashing into it. The
+     flight recorder hears of the invalidations that drop a decoded
+     word. *)
   let invalidate_word w =
     if in_dense w then begin
       let idx = (w - dense_base) asr 2 in
@@ -116,27 +101,15 @@ let create ~(soc : Soc.t) () =
     end
   in
   let store addr nbytes v =
-    if Mem.in_ram mem addr then begin
-      let stall = Cache.access core.cache ~write:true addr in
-      Core.charge_stall core stall;
-      if sub.Tk_stats.Substrate.tracing then
-        cpu_ev Tk_stats.Trace.ev_write addr stall;
+    if Core.store core mem rc ~tcore addr nbytes v then begin
       let w0 = addr land lnot 3 in
       invalidate_word w0;
       let w1 = (addr + nbytes - 1) land lnot 3 in
-      if w1 <> w0 then invalidate_word w1;
-      if nbytes = 4 then Mem.ram_write32 mem addr v
-      else Mem.ram_write mem addr nbytes v
-    end
-    else begin
-      Core.charge core core.p.mmio_penalty;
-      if sub.Tk_stats.Substrate.tracing then
-        cpu_ev Tk_stats.Trace.ev_write addr core.p.mmio_penalty;
-      Mem.write mem addr nbytes v
+      if w1 <> w0 then invalidate_word w1
     end
   in
   let wfi _cpu =
-    if not (Core.idle_until_event core) then
+    if not (Core.idle_until core ~limit:max_int) then
       raise (Fault "WFI with no pending event: platform deadlock")
   in
   let irq_ret cpu =
@@ -216,7 +189,7 @@ let step_env t recording env =
   if not (Mem.in_ram t.soc.mem addr) then
     raise (Fault (Printf.sprintf "PC outside RAM: 0x%x" addr));
   let d = fetch_decode t addr in
-  Core.retire t.core addr;
+  Core.retire t.core addr ~fused:false;
   if recording && t.rc.Tk_stats.Recorder.sub.Tk_stats.Substrate.tracing
   then
     Tk_stats.Recorder.event t.rc ~core:Tk_stats.Trace.core_cpu

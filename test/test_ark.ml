@@ -85,8 +85,10 @@ let test_emulated_services_small () =
     Alcotest.failf "emulated services are %.1f%% of busy (expected small)"
       (frac *. 100.)
 
-let test_fallback_glitch () =
-  let ark = Ark_run.create () in
+(* Mid and Baseline keep the guest SP in the emulated env block, not in
+   host r13, so the fallback's stack rewrite must read it from there *)
+let test_fallback_glitch mode () =
+  let ark = Ark_run.create ~mode () in
   ignore (Ark_run.suspend_resume_cycle ark);
   let wifi = Tk_drivers.Platform.device (Ark_run.plat ark) "wifi" in
   wifi.Tk_drivers.Device.glitch_next_resume <- true;
@@ -286,6 +288,11 @@ let () =
           Alcotest.test_case "small translation blocks correct" `Quick
             test_small_blocks_correct ] );
       ( "fallback",
-        [ Alcotest.test_case "wifi glitch migrates" `Quick test_fallback_glitch;
+        [ Alcotest.test_case "wifi glitch migrates" `Quick
+            (test_fallback_glitch Translator.Ark);
+          Alcotest.test_case "wifi glitch migrates, mid" `Quick
+            (test_fallback_glitch Translator.Mid);
+          Alcotest.test_case "wifi glitch migrates, baseline" `Quick
+            (test_fallback_glitch Translator.Baseline);
           Alcotest.test_case "migration stats" `Quick test_fallback_stats;
           Alcotest.test_case "small stress run" `Slow test_stress_small ] ) ]

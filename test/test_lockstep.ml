@@ -354,6 +354,42 @@ let test_blocked_lane_wakes_on_commit () =
   ignore (Lockstep.run t);
   Alcotest.(check bool) "commit woke the blocked lane" true !woken
 
+(* ARK as a lane: a phase with nothing runnable, no interrupt to deliver
+   and no M3 event must surface as a deadlock, sequential or sliced.
+   [Lockstep.run] drags a blocked lane to the boundary and re-polls it
+   there, so [phase_step] called at its deadline must still answer
+   [`Blocked] for a stalled phase, or the sliced run would spin
+   forever. *)
+let test_ark_lane_deadlock () =
+  let ark = Ark_run.create ~quantum:1_000 () in
+  let a = ark.Ark_run.ark in
+  let clock = (Ark_run.plat ark).Tk_drivers.Platform.soc.Soc.m3.Core.clock in
+  Ark.phase_begin a `Suspend;
+  (* starve the phase: no scheduler tick, no M3 event, every context
+     parked *)
+  a.Ark.tick_on <- false;
+  Clock.restore_pending clock ~now:clock.Clock.now
+    ~seq:(Clock.seq_value clock) [];
+  List.iter
+    (fun (c : Transkernel.Context.t) ->
+      c.Transkernel.Context.state <- Transkernel.Context.Parked)
+    a.Ark.contexts;
+  Alcotest.(check bool) "no deadline: blocked" true
+    (Ark.phase_step a ~deadline:max_int = `Blocked);
+  let polls = ref 0 in
+  let lane =
+    { Lockstep.l_name = "m3"; l_clock = clock;
+      l_run =
+        (fun ~deadline ->
+          incr polls;
+          if !polls > 100 then Alcotest.fail "a stalled ARK lane spins";
+          Ark.phase_step a ~deadline) }
+  in
+  match Lockstep.run (Lockstep.create ~quantum:1_000 [ lane ]) with
+  | _ -> Alcotest.fail "expected Lockstep.Deadlock"
+  | exception Lockstep.Deadlock _ ->
+    Alcotest.(check int) "caught in the first round" 2 !polls
+
 let test_interleave_eq_domains_synthetic () =
   let run domains =
     let main = Clock.create () in
@@ -438,6 +474,8 @@ let () =
             test_clean_finish_is_not_deadlock;
           Alcotest.test_case "commit wakes a blocked lane" `Quick
             test_blocked_lane_wakes_on_commit;
+          Alcotest.test_case "a stalled ARK lane deadlocks" `Quick
+            test_ark_lane_deadlock;
           Alcotest.test_case "synthetic domains = interleave" `Quick
             test_interleave_eq_domains_synthetic;
           Alcotest.test_case "merge_lane preserves global order" `Quick

@@ -23,15 +23,44 @@ let test_clock_cancel () =
   Clock.advance c 100;
   checkb "cancelled event does not fire" false !fired
 
+(* WFI's fast-forward, bounded by [~limit]: an event before the limit
+   fires and time lands on it; an event at the limit fires there; one
+   past it stays pending with time at the limit; an empty queue answers
+   [None] and time stays put *)
 let test_clock_skip () =
+  let skip_with ~event ~limit =
+    let c = Clock.create () in
+    Clock.advance c 100;
+    let fired = ref false in
+    let _c : unit -> unit = Clock.at c event (fun () -> fired := true) in
+    let skipped = Clock.skip_to_next_event c ~limit in
+    (c, skipped, !fired)
+  in
+  let c, skipped, fired = skip_with ~event:500 ~limit:max_int in
+  checkb "no limit: skips 400ns" true (skipped = Some 400);
+  checkb "no limit: event fired" true fired;
+  checki "no limit: time at the event" 500 c.Clock.now;
+  checkb "then no more events" true
+    (Clock.skip_to_next_event c ~limit:max_int = None);
+  let c, skipped, fired = skip_with ~event:500 ~limit:800 in
+  checkb "before the limit: skips 400ns" true (skipped = Some 400);
+  checkb "before the limit: event fired" true fired;
+  checki "before the limit: time at the event" 500 c.Clock.now;
+  let c, skipped, fired = skip_with ~event:500 ~limit:500 in
+  checkb "at the limit: skips 400ns" true (skipped = Some 400);
+  checkb "at the limit: event fired" true fired;
+  checki "at the limit: time at the limit" 500 c.Clock.now;
+  let c, skipped, fired = skip_with ~event:500 ~limit:300 in
+  checkb "past the limit: skips 200ns" true (skipped = Some 200);
+  checkb "past the limit: event unfired" false fired;
+  checki "past the limit: time at the limit" 300 c.Clock.now;
+  checkb "past the limit: event still pending" true
+    (Clock.next_event_time c = Some 500);
   let c = Clock.create () in
-  let fired = ref false in
-  let _c : unit -> unit = Clock.at c 500 (fun () -> fired := true) in
-  (match Clock.skip_to_next_event c with
-  | Some skipped -> checki "skips 500ns" 500 skipped
-  | None -> Alcotest.fail "expected an event");
-  checkb "event fired" true !fired;
-  checkb "no more events" true (Clock.skip_to_next_event c = None)
+  Clock.advance c 100;
+  checkb "empty queue: None" true
+    (Clock.skip_to_next_event c ~limit:1000 = None);
+  checki "empty queue: time unmoved" 100 c.Clock.now
 
 let test_cache_basic () =
   let cache = Cache.create ~name:"t" ~size_kb:1 ~miss_penalty:10 in
@@ -313,8 +342,96 @@ let test_core_accounting () =
   let _c : unit -> unit =
     Clock.at soc.Soc.clock (soc.Soc.clock.Clock.now + 5000) (fun () -> ())
   in
-  checkb "idles to event" true (Core.idle_until_event cpu);
-  checki "idle ns" 5000 (Core.idle_ns cpu)
+  checkb "idles to event" true (Core.idle_until cpu ~limit:max_int);
+  checki "idle ns" 5000 (Core.idle_ns cpu);
+  checkb "no event: no idle" false (Core.idle_until cpu ~limit:max_int);
+  checki "idle ns unchanged" 5000 (Core.idle_ns cpu)
+
+(* [Core.retire]: a fused partner books its fetch stall and no base CPI,
+   an ordinary instruction [instr_cycles + stall]. The M3's fractional
+   CPI and a 24-byte stride, which mixes hits and misses, exercise both;
+   a twin core computes each charge by hand. *)
+let test_core_retire () =
+  let soc = Soc.create () in
+  let m3 = soc.Soc.m3 and twin = (Soc.create ()).Soc.m3 in
+  for k = 0 to 199 do
+    let addr = Soc.ram_base + (k * 24) in
+    let fused = k mod 3 = 2 in
+    let stall = Cache.access twin.Core.cache ~write:false addr in
+    let expect = (if fused then 0 else Core.instr_cycles twin) + stall in
+    let busy = m3.Core.busy_cycles and stalls = m3.Core.stall_cycles in
+    Core.retire m3 addr ~fused;
+    let what =
+      Printf.sprintf "%s 0x%x" (if fused then "fused" else "plain") addr
+    in
+    checki (what ^ ": busy cycles") expect (m3.Core.busy_cycles - busy);
+    checki (what ^ ": stall cycles") stall (m3.Core.stall_cycles - stalls)
+  done;
+  checki "every instruction counted" 200 m3.Core.instructions;
+  checkb "both fetch outcomes seen" true
+    (m3.Core.cache.Cache.hits > 0 && m3.Core.cache.Cache.misses > 0);
+  checki "CPI carry in step with the twin" twin.Core.cpi_acc m3.Core.cpi_acc;
+  checki "clock holds the busy time" (Core.busy_ns m3) soc.Soc.clock.Clock.now
+
+(* [Core.load] and [Core.store]: RAM goes through the cache, its stall
+   charged and traced with the access; anything else is MMIO at the
+   core's penalty. [store] says whether it wrote RAM. *)
+let test_core_data_path () =
+  let soc = Soc.create () in
+  let a9 = soc.Soc.cpu and mem = soc.Soc.mem and rc = soc.Soc.recorder in
+  let tcore = Tk_stats.Trace.core_cpu in
+  Tk_stats.Trace.enable soc.Soc.trace;
+  let miss = a9.Core.cache.Cache.miss_penalty in
+  let mmio = a9.Core.p.Core.mmio_penalty in
+  let charged f =
+    let busy = a9.Core.busy_cycles in
+    let r = f () in
+    (r, a9.Core.busy_cycles - busy)
+  in
+  let ram = Soc.ram_base + 0x2000 in
+  let gic = Soc.gic_base in
+  let wrote, c = charged (fun () -> Core.store a9 mem rc ~tcore ram 4 0x1234) in
+  checkb "RAM store: wrote RAM" true wrote;
+  checki "RAM store: miss stall" miss c;
+  let v, c = charged (fun () -> Core.load a9 mem rc ~tcore ram 4) in
+  checki "RAM load: value" 0x1234 v;
+  checki "RAM load: hit" 0 c;
+  let v, c = charged (fun () -> Core.load a9 mem rc ~tcore (ram + 1) 1) in
+  checki "RAM byte load: value" 0x12 v;
+  checki "RAM byte load: hit" 0 c;
+  let wrote, c =
+    charged (fun () ->
+        Core.store a9 mem rc ~tcore (gic + Intc.enable_set_off) 4 7)
+  in
+  checkb "MMIO store: no RAM written" false wrote;
+  checki "MMIO store: penalty" mmio c;
+  checkb "MMIO store: reached the device" true
+    soc.Soc.fabric.Intc.gic.Intc.enabled.(7);
+  Intc.set_pending soc.Soc.fabric.Intc.gic 7;
+  let v, c =
+    charged (fun () -> Core.load a9 mem rc ~tcore (gic + Intc.iar_off) 4)
+  in
+  checki "MMIO load: value" 7 v;
+  checki "MMIO load: penalty" mmio c;
+  checki "stall cycles count only the miss" miss a9.Core.stall_cycles;
+  let accesses = ref [] in
+  Tk_stats.Trace.iter soc.Soc.trace (fun ~time:_ ~core ~kind ~a ~b ->
+      if kind = Tk_stats.Trace.ev_read || kind = Tk_stats.Trace.ev_write then
+        accesses :=
+          Printf.sprintf "%s %s 0x%x %d" (Tk_stats.Trace.core_name core)
+            (Tk_stats.Trace.kind_name kind) a b
+          :: !accesses);
+  let ev kind a b =
+    Printf.sprintf "%s %s 0x%x %d" (Tk_stats.Trace.core_name tcore)
+      (Tk_stats.Trace.kind_name kind) a b
+  in
+  Alcotest.(check (list string))
+    "each access traced with its stall"
+    [ ev Tk_stats.Trace.ev_write ram miss; ev Tk_stats.Trace.ev_read ram 0;
+      ev Tk_stats.Trace.ev_read (ram + 1) 0;
+      ev Tk_stats.Trace.ev_write (gic + Intc.enable_set_off) mmio;
+      ev Tk_stats.Trace.ev_read (gic + Intc.iar_off) mmio ]
+    (List.rev !accesses)
 
 let test_cpi_model () =
   let soc = Soc.create () in
@@ -489,7 +606,10 @@ let () =
       ( "cores",
         [ Alcotest.test_case "busy/idle accounting" `Quick
             test_core_accounting;
-          Alcotest.test_case "fractional CPI" `Quick test_cpi_model ] );
+          Alcotest.test_case "fractional CPI" `Quick test_cpi_model;
+          Alcotest.test_case "retire, plain and fused" `Quick test_core_retire;
+          Alcotest.test_case "load and store, RAM and MMIO" `Quick
+            test_core_data_path ] );
       ( "devices",
         [ Alcotest.test_case "power transitions" `Quick test_device_model;
           Alcotest.test_case "glitch injection" `Quick test_device_glitch ] );
