@@ -464,8 +464,7 @@ let fallback ~runs () =
   let c = ark.Ark_run.ark.Transkernel.Ark.counters in
   Printf.printf "migrations: %d; cold calls skipped while draining: %d\n"
     (Counters.get c "fallback.migrations")
-    (Counters.get c "fallback.drained_cold"
-    + Counters.get c "fallback.cold_skipped")
+    (Counters.get c "fallback.cold_skipped")
 
 (* ------------------------------- dram -------------------------------- *)
 

@@ -363,7 +363,7 @@ let summarize label (core : Tk_machine.Core.t) params warns =
     warns
 
 let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
-    resume_native m3_cache certify_traces elide_smc quantum concurrent
+    resume_native m3_cache certify_traces quantum concurrent
     trace_file trace_filter trace_cap profile ts_file sample_every
     manifest_file spans_file perfetto_file verbose =
   let kernel = layout.Tk_kernel.Layout.version in
@@ -385,10 +385,8 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
       [ ("quantum", quantum <> 0); ("m3-cache", m3_cache <> None);
         ("resume-native", resume_native); ("profile", profile);
         ("glitch-every", glitch_every <> 0) ];
-  if (certify_traces || elide_smc) && not superblock then begin
-    Printf.eprintf
-      "run: --certify-traces and --elide-smc-probes require --tier \
-       superblock\n";
+  if certify_traces && not superblock then begin
+    Printf.eprintf "run: --certify-traces requires --tier superblock\n";
     exit 2
   end;
   let check = check_flag "run" in
@@ -446,20 +444,15 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
     spans_setup soc ~spans_file ~perfetto_file;
     let e = ark.Ark_run.ark.Transkernel.Ark.engine in
     if profile then e.Tk_dbt.Engine.profile <- true;
-    if certify_traces || elide_smc then begin
+    if certify_traces then begin
       let built = (Ark_run.plat ark).Tk_drivers.Platform.built in
       let image = built.Tk_kernel.Image.image in
-      if certify_traces then
-        e.Tk_dbt.Engine.sb_certify <-
-          Some
-            (Tk_analysis.Certify.admit
-               ~read_guest:(Tk_analysis.Certify.read_guest_of_image image)
-               ~classify_target:e.Tk_dbt.Engine.classify_target
-               ~block_limit:e.Tk_dbt.Engine.block_limit ());
-      if elide_smc then begin
-        let r = Tk_analysis.Absint.analyze (Tk_analysis.Cfg.build image) in
-        Tk_dbt.Engine.set_smc_map e r.Tk_analysis.Absint.a_clean_ranges
-      end
+      e.Tk_dbt.Engine.sb_certify <-
+        Some
+          (Tk_analysis.Certify.admit
+             ~read_guest:(Tk_analysis.Certify.read_guest_of_image image)
+             ~classify_target:e.Tk_dbt.Engine.classify_target
+             ~block_limit:e.Tk_dbt.Engine.block_limit ())
     end;
     ark.Ark_run.quantum <- quantum;
     let wifi = Tk_drivers.Platform.device (Ark_run.plat ark) "wifi" in
@@ -499,10 +492,7 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
         e.Tk_dbt.Engine.flushes;
       if certify_traces then
         Printf.printf "certifier: %d plan(s) rejected\n"
-          e.Tk_dbt.Engine.certify_rejects;
-      if elide_smc then
-        Printf.printf "smc-clean map: %d probe(s) elided\n"
-          e.Tk_dbt.Engine.probes_elided
+          e.Tk_dbt.Engine.certify_rejects
     end;
     if cache_dir <> None then Ark_run.save_cache ark;
     if tracing then
@@ -904,14 +894,6 @@ let certify_traces_arg =
                  rejected and the plain blocks kept. Requires --tier \
                  superblock.")
 
-let elide_smc_arg =
-  Arg.(value & flag
-       & info [ "elide-smc-probes" ]
-           ~doc:"Install the abstract-interpretation SMC-clean map \
-                 before the run: image-window stores executed from \
-                 provably clean guest code skip the per-word \
-                 store-invalidation probe. Requires --tier superblock.")
-
 let quantum_arg =
   Arg.(value & opt int 0
        & info [ "quantum" ] ~docv:"NS"
@@ -998,7 +980,7 @@ let run_t =
   Term.(
     const run_cmd $ mode_arg $ tier_arg $ cache_dir_arg $ cycles_arg
     $ layout_arg $ sleep_arg $ glitch_arg $ resume_native_arg $ m3_cache_arg
-    $ certify_traces_arg $ elide_smc_arg $ quantum_arg $ concurrent_arg
+    $ certify_traces_arg $ quantum_arg $ concurrent_arg
     $ trace_arg $ trace_filter_arg
     $ trace_cap_arg $ profile_arg $ timeseries_arg $ sample_every_arg
     $ manifest_arg $ spans_arg $ perfetto_arg $ verbose_arg)
@@ -1157,9 +1139,9 @@ let cmds =
         $ Arg.(value & flag
                & info [ "absint" ]
                    ~doc:"Whole-image abstract interpretation: classify \
-                         every store target and prove SMC-clean \
-                         functions whose probes the superblock tier may \
-                         elide.")
+                         every store target and report the functions \
+                         proven SMC-clean (never storing into the code \
+                         section).")
         $ Arg.(value & opt (some string) None
                & info [ "json" ] ~docv:"FILE"
                    ~doc:"Also write the findings as JSONL to $(docv).")) ]

@@ -1,31 +1,15 @@
 (** Whole-image abstract interpretation for SMC-clean region proof.
 
-    The superblock engine probes every guest store that lands in the
-    kernel-image window against its per-word cover map, because a store
-    into translated code must invalidate the cache (self-modifying
-    code). That probe is pure overhead for the overwhelming majority of
-    kernel code, which only ever writes to its data section, the stack,
-    the page pool or MMIO. This pass proves it: a light abstract
-    interpretation over the recovered {!Cfg} classifies every store's
-    target and marks a guest {e word} SMC-clean when its instruction
-    cannot write into the image's code section — the only place
-    translated guest words live (functions also get an aggregate
-    verdict, for reporting). The merged ranges of clean words form
-    the SMC-clean map {!Tk_dbt.Engine.set_smc_map} consumes: host code
-    emitted entirely from clean guest words skips the per-word cover
-    probe on every image-window store.
-
-    Soundness argument: [probe_exempt] is keyed by the {e executing}
-    host word, i.e. by which guest code performs the store. A store
-    executed by clean code cannot hit the code section, hence cannot
-    hit a covered word, hence skipping its probe can never miss an
-    invalidation — regardless of where unclean code or the cover map
-    evolve. Self-modifying code is, by construction, unclean (its store
-    targets the code section), so SMC detection is preserved: the first
-    modifying store always executes from un-exempt host code, and the
-    engine drops the map with the cache on flush. The map's contract
-    covers images whose code section is the only executed region (the
-    engine would fall back on undecodable data words anyway).
+    A report for [arksim analyze]: which kernel code can never write
+    into the image's code section, the only place translated guest
+    words live? Most kernel code only writes its data section, the
+    stack, the page pool or MMIO. A light abstract interpretation over
+    the recovered {!Cfg} classifies every store's target and marks a
+    guest {e word} SMC-clean when its instruction cannot write into the
+    code section (functions also get an aggregate verdict). The merged
+    ranges of clean words are reported, and every finding is Info.
+    Nothing at run time consumes them: the superblock engine probes
+    every image-window store against its cover map.
 
     Abstract domain, deliberately minimal (registers only, one basic
     block at a time, no widening needed because there are no loops
@@ -162,15 +146,11 @@ type report = {
   a_clean : int;
   a_hist : (string * int) list;  (** store-target histogram, whole image *)
   a_clean_ranges : (int * int) list;
-      (** merged [\[lo, hi)] guest ranges of clean {e words} — feed to
-          {!Tk_dbt.Engine.set_smc_map}. Word-granular, not
-          function-granular: a word is clean iff its instruction either
-          performs no store or its store target is provably outside the
-          code section. Sound because the engine's probe exemption is
-          keyed by the executing host word and requires {e every} guest
-          word of a translated span to be clean — so one pointer-chased
-          store only disqualifies the translation blocks that contain
-          it, not its whole function. *)
+      (** merged [\[lo, hi)] guest ranges of clean {e words}.
+          Word-granular, not function-granular: a word is clean iff its
+          instruction either performs no store or its store target is
+          provably outside the code section, so one pointer-chased store
+          only disqualifies its own word, not its whole function. *)
   a_max_frame : int;
   findings : Finding.t list;
 }
@@ -197,7 +177,7 @@ let analyze (t : Cfg.t) : report =
   in
   let findings = ref [] in
   (* per-word cleanliness over the code section, default unclean: data
-     slots and words outside any known function never earn exemption.
+     slots and words outside any known function are never clean.
      A word's abstract pre-state is sound for every execution because a
      basic block is single-entry and the engine only begins translation
      blocks at CFG leaders (call/jump targets, return sites) — a

@@ -211,19 +211,6 @@ let failed t = t.errors <> [] || t.divergences > 0
     instead of a generic failure line. *)
 let first_error t = match t.errors with [] -> None | e :: _ -> Some e
 
-(* merge per-task counters by summing equal names *)
-let merge_counters outs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-         Hashtbl.replace tbl k (cur + v)))
-    outs;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let counters_obj kvs = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) kvs)
-
 (** [run config] — execute the campaign on [config.jobs] domains and
     assemble the summary document. Worker tasks never print; every task
     constructs (and drops) its own simulated world. *)
@@ -253,7 +240,7 @@ let run (cfg : config) =
            | Ok out ->
              J.Obj
                [ ("task", J.Int i); ("metrics", out.t_metrics);
-                 ("counters", counters_obj out.t_counters) ]
+                 ("counters", J.counters_obj out.t_counters) ]
            | Error msg ->
              errors := (i, msg) :: !errors;
              J.Obj [ ("task", J.Int i); ("error", J.Str msg) ])
@@ -264,7 +251,7 @@ let run (cfg : config) =
     Array.to_list outcomes
     |> List.filter_map (function Ok o -> Some o | Error _ -> None)
   in
-  let merged = merge_counters (List.map (fun o -> o.t_counters) ok_outs) in
+  let merged = Counters.merge (List.map (fun o -> o.t_counters) ok_outs) in
   let counter k = Option.value ~default:0 (List.assoc_opt k merged) in
   let divergences = counter "fuzz.divergences" in
   let kind_aggregate =
@@ -292,7 +279,7 @@ let run (cfg : config) =
     J.Obj
       (kind_aggregate
       @ [ ("task_errors", J.Int (List.length errors));
-          ("counters", counters_obj merged) ])
+          ("counters", J.counters_obj merged) ])
   in
   (* the digest covers exactly the sections that must not depend on
      [jobs]: meta, every per-task record, and the aggregate *)

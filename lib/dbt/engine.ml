@@ -63,12 +63,12 @@ type t = {
           [(addr - Soc.code_cache_base) / 4]: each slot holds the host
           instruction and its {!Exec.compile}d closure, populated at
           [write_host] time (so patching a site re-decodes it in place)
-          and read by the hot loop as one array load. Empty slots hold
-          the physically distinguished {!Exec.undecoded} sentinel rather
-          than an option, so the per-instruction fetch is a pointer
-          compare with no [Some] indirection. Host-side speed only — the
-          simulated charges are unchanged. Like the other per-word
-          arrays below it is grown by {!reserve}, never shrunk. *)
+          and read by the hot loop as one array load. Every slot below
+          the cursor is decoded; the others hold the physically
+          distinguished {!Exec.undecoded} sentinel rather than an
+          option. Host-side speed only — the simulated charges are
+          unchanged. Like the other per-word arrays below it is grown by
+          {!reserve}, never shrunk. *)
   mutable block_start : bool array;
       (** dense membership set mirroring [block_starts], same indexing
           as [host_decode] — the hot loop's IRQ-window probe *)
@@ -137,25 +137,16 @@ type t = {
           that differs between them *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
-  (* static-analysis products consumed by the tier (certify + absint) *)
+  (* the static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
       (** online trace certifier hook: a formed (or warm-loaded) plan is
           admitted only if the hook proves it equivalent to its
           constituent blocks; [None] (default) admits everything *)
   mutable certify_rejects : int;
       (** plans refused by [sb_certify] (warm or fresh) *)
-  mutable smc_map : Bytes.t option;
-      (** SMC-clean map, same per-guest-word indexing as [guest_cover]:
-          non-zero marks code proven (by whole-image abstract
-          interpretation) to never store into translated code ranges.
-          Derived from the {e pristine} image, so a whole-cache flush —
-          which only ever follows guest self-modification — drops it. *)
-  mutable probe_exempt : bool array;
-      (** same dense host-word indexing as [host_decode]: translated
-          code emitted entirely from SMC-clean guest words; its stores
-          skip the cover-map probe *)
   mutable probes_elided : int;
-      (** image-span stores that skipped the probe via [probe_exempt] *)
+      (** always 0: every superblock store is probed. Kept only for the
+          benchmark's [superblock.probes_elided] metric *)
   mutable deadline_ns : int;
       (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           its next probe point once the M3 clock reaches this
@@ -194,18 +185,18 @@ let dummy_cb () =
 let in_cache t addr =
   addr >= Soc.code_cache_base && addr < t.cursor
 
-(* The five per-host-word arrays ([host_decode], [block_start],
-   [block_exec], [fuse_next], [probe_exempt]) start at [initial_words]
-   and at least double in {!reserve}, up to the code cache's high-water
-   mark plus one slack word. The run loop indexes them unchecked; two
-   invariants keep every index in bounds:
+(* The four per-host-word arrays ([host_decode], [block_start],
+   [block_exec], [fuse_next]) start at [initial_words] and at least
+   double in {!reserve}, up to the code cache's high-water mark plus
+   one slack word. The run loop indexes them unchecked; two invariants
+   keep every index in bounds:
    - each array is longer than the high-water mark, in words, so the
      fall-through fetch after the last emitted word reads the slack
      slot;
-   - every slot at or past the cursor is {!Exec.undecoded}, and
-     {!decode_host} refuses an address at or past the cursor, so no
-     instruction ever runs from the slack slot and nothing falls
-     through beyond it. *)
+   - every slot below the cursor is decoded ({!write_host}) and every
+     slot at or past it is {!Exec.undecoded}, which {!decode_host}
+     refuses, so no instruction ever runs from the slack slot and
+     nothing falls through beyond it. *)
 let initial_words = 1024
 let cache_words = Soc.code_cache_size / 4
 
@@ -221,8 +212,7 @@ let reserve t words =
     t.host_decode <- grow t.host_decode Exec.undecoded;
     t.block_start <- grow t.block_start false;
     t.block_exec <- grow t.block_exec 0;
-    t.fuse_next <- grow t.fuse_next false;
-    t.probe_exempt <- grow t.probe_exempt false
+    t.fuse_next <- grow t.fuse_next false
   end
 
 let dummy_env : Exec.env =
@@ -256,8 +246,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       pending_flush = false; store = None;
       traces_formed = 0; fusions_applied = 0; cache_warm_hits = 0;
       invalidations = 0; flushes = 0;
-      sb_certify = None; certify_rejects = 0; smc_map = None;
-      probe_exempt = Array.make initial_words false;
+      sb_certify = None; certify_rejects = 0;
       probes_elided = 0; deadline_ns = max_int; span_cut = -1 }
   in
   let m3 = soc.Soc.m3 in
@@ -324,10 +313,7 @@ let rec create ~(soc : Soc.t) ~mode () =
    a formed trace, so the probe checks both words against the dense
    cover map and schedules a whole-cache eviction (consumed at the next
    block/trace boundary — the translated-code analogue of the
-   interpreter's invalidate-on-store / take-effect-on-next-fetch).
-   Stores issued from code proven SMC-clean (the executing word is
-   marked in [probe_exempt]) skip the probe entirely — clean code cannot
-   hit covered words by construction. *)
+   interpreter's invalidate-on-store / take-effect-on-next-fetch). *)
 and sb_check_word t w =
   if Soc.in_kernel_image w
      && Bytes.unsafe_get t.guest_cover ((w - Soc.kernel_base) asr 2) <> '\000'
@@ -339,30 +325,22 @@ and sb_check_word t w =
   end
 
 and sb_store_check t addr nbytes =
-  if Array.unsafe_get t.probe_exempt ((t.cur_pc - Soc.code_cache_base) asr 2)
-  then t.probes_elided <- t.probes_elided + 1
-  else begin
-    let w0 = addr land lnot 3 in
-    sb_check_word t w0;
-    let w1 = (addr + nbytes - 1) land lnot 3 in
-    if w1 <> w0 then sb_check_word t w1
-  end
+  let w0 = addr land lnot 3 in
+  sb_check_word t w0;
+  let w1 = (addr + nbytes - 1) land lnot 3 in
+  if w1 <> w0 then sb_check_word t w1
 
 (* ------------------------- code emission ---------------------------- *)
 
+(* emit one host word through the M3 cache (translation produces real
+   traffic) and pre-decode it: [encode_exn] output always decodes *)
 and write_host t addr (i : inst) =
   let w = V7m.encode_exn i in
-  (* emitting through the M3 cache: translation produces real traffic *)
   Core.charge t.soc.Soc.m3
     (Cache.access t.soc.Soc.m3.Core.cache ~write:true addr);
   Mem.ram_write32 t.soc.Soc.mem addr w;
-  (* pre-decode the freshly written word; a word that does not decode
-     (impossible for encode_exn output, but kept equivalent to the lazy
-     seed path) is left for decode_host to report at execution time *)
   t.host_decode.((addr - Soc.code_cache_base) asr 2) <-
-    (match V7m.decode w with
-    | i -> Exec.decoded i
-    | exception _ -> Exec.undecoded)
+    Exec.decoded (V7m.decode w)
 
 (* Install a translation under guest [gpc] — a block, or a formed trace
    under its head: charge the simulated translation cost, emit it at the
@@ -453,9 +431,7 @@ and translate_block t gpc =
     t.guest_translated <- t.guest_translated + b.Translator.b_guest_count;
     if t.superblock then begin
       sb_mark_cover t gpc b.Translator.b_guest_count;
-      sb_record_succ t b;
-      if sb_span_clean t gpc b.Translator.b_guest_count then
-        sb_mark_exempt t h t.cursor
+      sb_record_succ t b
     end;
     Tk_stats.Recorder.burst_close t.rc ~core
       ~ev:(Tk_stats.Trace.ev_translate, gpc, n) stok;
@@ -469,28 +445,6 @@ and sb_mark_cover t gpc count =
     if Soc.in_kernel_image a then
       Bytes.unsafe_set t.guest_cover ((a - Soc.kernel_base) asr 2) '\001'
   done
-
-(* is every guest word of the span proven SMC-clean? (vacuously false
-   with no map installed, and for any word outside the image span) *)
-and sb_span_clean t gpc count =
-  match t.smc_map with
-  | None -> false
-  | Some map ->
-    let clean = ref true in
-    for k = 0 to count - 1 do
-      let a = gpc + (4 * k) in
-      if
-        not
-          (Soc.in_kernel_image a
-          && Bytes.unsafe_get map ((a - Soc.kernel_base) asr 2) <> '\000')
-      then clean := false
-    done;
-    !clean
-
-and sb_mark_exempt t lo hi =
-  Array.fill t.probe_exempt
-    ((lo - Soc.code_cache_base) asr 2)
-    ((hi - lo) asr 2) true
 
 (* chain statistics: a block whose terminal is an always-taken direct
    transfer has a statically-known successor *)
@@ -560,14 +514,10 @@ and flush_cache t =
   Array.fill t.block_start 0 (Array.length t.block_start) false;
   Array.fill t.block_exec 0 (Array.length t.block_exec) 0;
   Array.fill t.fuse_next 0 (Array.length t.fuse_next) false;
-  Array.fill t.probe_exempt 0 (Array.length t.probe_exempt) false;
   Bytes.fill t.guest_cover 0 (Bytes.length t.guest_cover) '\000';
   t.pending_flush <- false;
   t.flushes <- t.flushes + 1;
-  t.store <- None;
-  (* the clean map was proven over the pristine image; after guest
-     self-modification it no longer describes what will be fetched *)
-  t.smc_map <- None
+  t.store <- None
 
 (* ----------------------- superblock formation ----------------------- *)
 
@@ -653,11 +603,6 @@ and sb_try_form t head =
             b_emits = p.Superblock.p_emits }
       in
       t.traces_formed <- t.traces_formed + 1;
-      if
-        List.for_all
-          (fun (g, c) -> sb_span_clean t g c)
-          p.Superblock.p_blocks
-      then sb_mark_exempt t h t.cursor;
       (* redirect the old head into the trace: its first word becomes a
          branch, so chained predecessors and saved resume points all
          land in the trace from now on *)
@@ -779,23 +724,13 @@ and dispatch t cpu _code =
       set_pc t cpu (site_addr + 4);
       t.cb.on_fallback reason ~guest_pc:gpc ~skippable cpu)
 
+(* every slot below the cursor is pre-decoded, so an empty slot is the
+   run loop's fall-through into the slack slot at the cursor *)
 and decode_host t addr =
-  let cached = t.host_decode.((addr - Soc.code_cache_base) asr 2) in
-  if cached != Exec.undecoded then cached
-  else if addr >= t.cursor then
-    (* only the run loop's fall-through into the slack slot gets here *)
-    raise (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" addr))
-  else begin
-    let w = Mem.ram_read32 t.soc.Soc.mem addr in
-    let d =
-      match V7m.decode w with
-      | i -> Exec.decoded i
-      | exception (V7m.Decode_error _ | Invalid_argument _) ->
-        raise (Host_error (Printf.sprintf "bad host fetch at 0x%x (0x%x)" addr w))
-    in
-    t.host_decode.((addr - Soc.code_cache_base) asr 2) <- d;
-    d
-  end
+  let d = t.host_decode.((addr - Soc.code_cache_base) asr 2) in
+  if d == Exec.undecoded then
+    raise (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" addr));
+  d
 
 (* -------------------- guest-state accessors ------------------------- *)
 
@@ -823,25 +758,6 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
     else cpu.Exec.r.(i) <- Bits.mask32 v
   | Translator.Baseline ->
     Mem.ram_write32 t.soc.Soc.mem (Layout.env_reg i) v
-
-(* ----------------------- SMC-clean region map ------------------------ *)
-
-(** [set_smc_map t ranges] installs the SMC-clean map from proven guest
-    address intervals [\[lo, hi)] (kernel-image addresses, word-aligned):
-    translations emitted entirely from clean words skip the per-word
-    store-invalidation probe. The map describes the pristine image — it
-    is dropped (with the whole cache) if the guest self-modifies. *)
-let set_smc_map t ranges =
-  let map = Bytes.make ((Soc.page_pool_base - Soc.kernel_base) / 4) '\000' in
-  List.iter
-    (fun (lo, hi) ->
-      let lo = max lo Soc.kernel_base and hi = min hi Soc.page_pool_base in
-      for k = (lo - Soc.kernel_base) asr 2 to ((hi - Soc.kernel_base) asr 2) - 1
-      do
-        Bytes.unsafe_set map k '\001'
-      done)
-    ranges;
-  t.smc_map <- Some map
 
 (* ----------------------------- run ---------------------------------- *)
 

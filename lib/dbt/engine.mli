@@ -59,11 +59,12 @@ type t = {
       (** dense pre-decoded code cache, indexed by
           [(addr - Soc.code_cache_base) / 4]: each slot holds the host
           instruction and its {!Exec.compile}d closure, which the hot
-          loop runs; populated at emission and patch time; empty slots
-          hold the physically distinguished {!Exec.undecoded} sentinel.
-          This and the other per-word arrays ([block_start],
-          [block_exec], [fuse_next], [probe_exempt]) start small and
-          grow with the cache's high-water mark, one word past it. *)
+          loop runs; populated at emission and patch time, so every
+          slot below the cursor is decoded and the others hold the
+          physically distinguished {!Exec.undecoded} sentinel. This and
+          the other per-word arrays ([block_start], [block_exec],
+          [fuse_next]) start small and grow with the cache's high-water
+          mark, one word past it. *)
   mutable block_start : bool array;
       (** dense membership set mirroring [block_starts] (same indexing),
           probed after every control transfer for the IRQ window *)
@@ -122,21 +123,16 @@ type t = {
           must stay byte-identical and this counter differs *)
   mutable invalidations : int;  (** covered words hit by guest stores *)
   mutable flushes : int;  (** whole-cache evictions performed *)
-  (* static-analysis products consumed by the tier (certify + absint) *)
+  (* the static-analysis product consumed by the tier *)
   mutable sb_certify : (Superblock.plan -> bool) option;
       (** online trace certifier: a formed (or warm-loaded) plan is
           admitted only if the hook proves it equivalent to its
           constituent blocks; [None] (default) admits everything *)
   mutable certify_rejects : int;
       (** plans refused by [sb_certify] (warm or fresh) *)
-  mutable smc_map : Bytes.t option;
-      (** SMC-clean map (same indexing as [guest_cover]); install via
-          {!set_smc_map}; dropped on whole-cache flush *)
-  mutable probe_exempt : bool array;
-      (** host words emitted from SMC-clean guest code (same indexing as
-          [host_decode]): their stores skip the cover-map probe *)
   mutable probes_elided : int;
-      (** image-span stores that skipped the probe via [probe_exempt] *)
+      (** always 0: every superblock store is probed. Kept only for the
+          benchmark's [superblock.probes_elided] metric *)
   mutable deadline_ns : int;
       (** bounded-quantum lockstep: the run loop raises {!Quantum} at
           its next probe point once the M3 clock reaches this
@@ -173,13 +169,6 @@ val set_guest_reg : t -> Exec.cpu -> int -> int -> unit
 
 val guest_point_of_host : t -> int -> int option
 (** guest address for a saved host resume point (fallback migration) *)
-
-val set_smc_map : t -> (int * int) list -> unit
-(** [set_smc_map t ranges] installs the SMC-clean map from proven guest
-    address intervals [\[lo, hi)] within the kernel image: superblock
-    translations emitted entirely from clean words skip the per-word
-    store-invalidation probe. The map describes the pristine image and
-    is dropped with the cache if the guest self-modifies. *)
 
 val run : t -> Exec.cpu -> fuel:int -> unit
 (** [run t cpu ~fuel] executes translated code until the context returns

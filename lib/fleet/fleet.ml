@@ -318,7 +318,6 @@ let page_restored interp (engine : Engine.t) cover_flushes ~ram_base page
       incr cover_flushes
     end
   end
-  else Hashtbl.reset interp.Interp.decode_cache
 
 (* --------------------------- the shard task --------------------------- *)
 
@@ -553,18 +552,6 @@ let failed t = t.errors <> []
     (mirrors {!Tk_campaign.Campaign.first_error}). *)
 let first_error t = match t.errors with [] -> None | e :: _ -> Some e
 
-let merge_counters outs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (List.iter (fun (k, v) ->
-         let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-         Hashtbl.replace tbl k (cur + v)))
-    outs;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let counters_obj kvs = J.Obj (List.map (fun (k, v) -> (k, J.Int v)) kvs)
-
 (* rebuild a sketch from the serialized rows of every shard (bucket
    rows reload bucket-stably, and bucket adds commute, so this equals
    the union whatever order shards merged in) *)
@@ -620,7 +607,7 @@ let run (cfg : config) =
            | Ok out ->
              J.Obj
                [ ("shard", J.Int i); ("metrics", out.o_metrics);
-                 ("counters", counters_obj out.o_counters) ]
+                 ("counters", J.counters_obj out.o_counters) ]
            | Error msg ->
              errors := (i, msg) :: !errors;
              J.Obj [ ("shard", J.Int i); ("error", J.Str msg) ])
@@ -631,7 +618,7 @@ let run (cfg : config) =
     Array.to_list outcomes
     |> List.filter_map (function Ok o -> Some o | Error _ -> None)
   in
-  let merged = merge_counters (List.map (fun o -> o.o_counters) ok_outs) in
+  let merged = Counters.merge (List.map (fun o -> o.o_counters) ok_outs) in
   let counter k = Option.value ~default:0 (List.assoc_opt k merged) in
   let metrics_list =
     List.map
@@ -670,7 +657,7 @@ let run (cfg : config) =
         ("energy_nj_dist", quantiles_json energy_sk) ]
        @ List.map (fun (f, sk) -> (f, quantiles_json sk)) span_agg
        @ [ ("shard_errors", J.Int (List.length errors));
-           ("counters", counters_obj merged) ])
+           ("counters", J.counters_obj merged) ])
   in
   let digest =
     Run_manifest.digest_string
@@ -679,7 +666,7 @@ let run (cfg : config) =
             [ ("meta", meta); ("shards", shards_json);
               ("aggregate", aggregate) ]))
   in
-  let host_world = merge_counters (List.map (fun o -> o.o_host) ok_outs) in
+  let host_world = Counters.merge (List.map (fun o -> o.o_host) ok_outs) in
   let host =
     J.Obj
       [ ("jobs", J.Int cfg.jobs);
@@ -687,7 +674,7 @@ let run (cfg : config) =
         ("quantum", J.Int cfg.quantum);
         ("wall_s", J.Num wall_s);
         ("host_cores", J.Int (Domain.recommended_domain_count ()));
-        ("world", counters_obj host_world) ]
+        ("world", J.counters_obj host_world) ]
   in
   let doc =
     J.Obj

@@ -345,13 +345,4 @@ let concurrent_cycle ?(prepare_traffic = true) ?(domains = false)
 
 (** Per-cycle phase events, oldest first (same shape as the native
     runner's). *)
-let events_of_cycle t ~before =
-  let evs = ref [] and n = ref (List.length t.events - before) in
-  List.iter
-    (fun e ->
-      if !n > 0 then begin
-        evs := e :: !evs;
-        decr n
-      end)
-    t.events;
-  !evs
+let events_of_cycle t ~before = Native_run.events_since t.events ~before

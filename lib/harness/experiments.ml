@@ -84,21 +84,14 @@ let measure_native ?layout () =
   let before = Core.activity soc.Soc.cpu in
   let dma_rd0 = soc.Soc.mem.Mem.dma_read_bytes
   and dma_wr0 = soc.Soc.mem.Mem.dma_write_bytes in
-  let ev_before = List.length nat.Native_run.events in
-  ignore (Native_run.suspend_resume_cycle nat);
+  let cycle_events = Native_run.suspend_resume_cycle nat in
   let after = Core.activity soc.Soc.cpu in
   let whole_delta = Core.activity_delta before after in
   let events =
-    Native_run.(
-      let evs = ref [] and n = ref (List.length nat.events - ev_before) in
-      List.iter
-        (fun e ->
-          if !n > 0 then begin
-            evs := (e.ev_code, e.ev_cpu) :: !evs;
-            decr n
-          end)
-        nat.events;
-      !evs)
+    List.map
+      (fun (e : Native_run.phase_event) ->
+        (e.Native_run.ev_code, e.Native_run.ev_cpu))
+      cycle_events
   in
   let suspend, resume, devices = extract_phases events in
   let dma =

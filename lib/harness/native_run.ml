@@ -119,6 +119,12 @@ let create ?layout ?devices ?(sleep_ms = 50) ?(plat : Platform.t option) () =
   List.iter (fun name -> ignore (call t (name ^ "_init") [])) t.devices;
   t
 
+(** [events_since events ~before] — the entries added to a newest-first
+    event list since it had [before] entries, oldest first. *)
+let events_since events ~before =
+  let n = List.length events - before in
+  List.rev (List.filteri (fun i _ -> i < n) events)
+
 (** [suspend_resume_cycle t] runs one full ephemeral-task kernel cycle
     (freeze -> dpm_suspend -> sleep -> dpm_resume -> thaw) natively.
     Returns the phase events of this cycle, oldest first. *)
@@ -127,15 +133,7 @@ let suspend_resume_cycle ?(prepare_traffic = true) t =
   if prepare_traffic && List.mem "wifi" t.devices then
     ignore (call t "wifi_prepare_traffic" []);
   ignore (call t "pm_suspend" []);
-  let evs = ref [] and n = ref (List.length t.events - before) in
-  List.iter
-    (fun e ->
-      if !n > 0 then begin
-        evs := e :: !evs;
-        decr n
-      end)
-    t.events;
-  !evs
+  events_since t.events ~before
 
 (** [device_states t] reads each device's kernel-side power state out of
     guest memory (for end-state differential tests). *)

@@ -50,6 +50,10 @@ val call_step : ?fuel:int -> t -> deadline:int -> [ `Done of int | `Runnable ]
 (** advance a staged call until the A9 clock reaches absolute time
     [deadline] or the call returns ([`Done r0]) *)
 
+val events_since : 'a list -> before:int -> 'a list
+(** [events_since events ~before] — the entries added to a newest-first
+    event list since it had [before] entries, oldest first *)
+
 val suspend_resume_cycle :
   ?prepare_traffic:bool -> t -> phase_event list
 (** one full ephemeral-task kernel cycle (freeze -> dpm_suspend -> deep

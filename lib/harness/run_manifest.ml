@@ -116,6 +116,10 @@ let digest_string s =
     s;
   Printf.sprintf "%016x" !h
 
+(** [counters_obj kvs] — a counter list as one flat JSON object, in
+    list order. *)
+let counters_obj kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
+
 let metrics_digest ~metrics ~counters =
   digest_string (to_string (Obj [ ("metrics", metrics); ("counters", counters) ]))
 

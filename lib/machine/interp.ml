@@ -13,9 +13,10 @@
     {!Exec.compile}d closure, so fetch-decode is one array load and
     execution one closure call, and the self-modifying-store
     invalidation is an O(1) array write (covering {e both} words touched
-    by a store that straddles a word boundary). Fetches outside the
-    image span (none in practice) fall back to a hashtable. All of this
-    is host-side speed only: the simulated cycle/traffic counters are
+    by a store that straddles a word boundary). A fetch outside the
+    image span, or an unaligned one (none in practice), is decoded
+    afresh each time, so it has nothing to invalidate. All of this is
+    host-side speed only: the simulated cycle/traffic counters are
     bit-identical to the lazy hashtable scheme (pinned by
     test/test_neutrality.ml).
 
@@ -44,7 +45,6 @@ type t = {
   mutable decode : Exec.decoded array;
       (** dense, indexed by image word, grown on fetch; empty slots hold
           {!Exec.undecoded} *)
-  decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
   mutable env : Exec.env;
       (** memory closures test the flight recorder's flag inline *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)
@@ -65,7 +65,6 @@ let create ~(soc : Soc.t) () =
   let t =
     { soc; core; rc; cpu = Exec.make_cpu ();
       decode = [||];
-      decode_cache = Hashtbl.create 64;
       env = dummy_env; irq_vector = 0;
       irq_saved = [];
       on_svc = (fun _ _ _ -> ()) }
@@ -79,8 +78,7 @@ let create ~(soc : Soc.t) () =
      decode for a word the store touched. A store may straddle a word
      boundary (e.g. a 4-byte store at an unaligned address), so both
      affected words are invalidated. A span word past the dense array
-     was never fetched. Out of the span, the fallback table is empty in
-     practice, so the stack and heap stores skip hashing into it. The
+     was never fetched, and nothing outside the span is memoized. The
      flight recorder hears of the invalidations that drop a decoded
      word. *)
   let invalidate_word w =
@@ -93,11 +91,6 @@ let create ~(soc : Soc.t) () =
         then cpu_ev Tk_stats.Trace.ev_invalidate w 0;
         Array.unsafe_set t.decode idx Exec.undecoded
       end
-    end
-    else if Hashtbl.length t.decode_cache > 0 then begin
-      if sub.Tk_stats.Substrate.tracing && Hashtbl.mem t.decode_cache w
-      then cpu_ev Tk_stats.Trace.ev_invalidate w 0;
-      Hashtbl.remove t.decode_cache w
     end
   in
   let store addr nbytes v =
@@ -147,7 +140,8 @@ let grow t idx =
   t.decode <- a
 
 (* the common case, an aligned fetch inside the grown array, costs two
-   bounds compares; a span word past the array grows it first *)
+   bounds compares; a span word past the array grows it first, and any
+   other fetch decodes afresh *)
 let rec fetch_decode t addr =
   let idx = (addr - dense_base) asr 2 in
   if idx >= 0 && idx < Array.length t.decode && addr land 3 = 0 then begin
@@ -163,13 +157,7 @@ let rec fetch_decode t addr =
     grow t idx;
     fetch_decode t addr
   end
-  else
-    match Hashtbl.find_opt t.decode_cache addr with
-    | Some d -> d
-    | None ->
-      let d = decode_word t addr in
-      Hashtbl.add t.decode_cache addr d;
-      d
+  else decode_word t addr
 
 let deliver_irq t =
   let cpu = t.cpu in

@@ -27,8 +27,8 @@ type t = {
   mutable decode : Exec.decoded array;
       (** dense, indexed by image word from [Soc.kernel_base] and grown
           on fetch to the highest word executed; empty slots hold
-          {!Exec.undecoded} *)
-  decode_cache : (int, Exec.decoded) Hashtbl.t;  (** out-of-span fallback *)
+          {!Exec.undecoded}; a fetch outside that span is decoded
+          afresh each time *)
   mutable env : Exec.env;
       (** memory closures test the flight recorder's flag inline *)
   mutable irq_vector : int;  (** guest address of the IRQ entry stub *)

@@ -80,6 +80,17 @@ let diff before after =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(** [merge lists] sums equal names across counter lists, name-sorted. *)
+let merge lists =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (k, v) ->
+         let cur = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+         Hashtbl.replace tbl k (cur + v)))
+    lists;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
 (** [pp ppf t] prints all non-zero counters, one per line. *)
 let pp ppf (t : t) =
   snapshot t

@@ -47,5 +47,10 @@ val load : t -> (string * int) list -> unit
     names absent on one side count as 0 there. *)
 val diff : (string * int) list -> (string * int) list -> (string * int) list
 
+(** [merge lists] sums equal names across counter lists (one per
+    campaign task or fleet shard), in the name-sorted {!to_assoc}
+    shape. *)
+val merge : (string * int) list list -> (string * int) list
+
 (** [pp ppf t] prints all non-zero counters, one per line. *)
 val pp : Format.formatter -> t -> unit

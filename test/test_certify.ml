@@ -1,108 +1,35 @@
 (* The translation certifier and the SMC-clean abstract interpretation.
 
-   Certifier: a crafted hot chain (same shape as the superblock tests —
-   the loop body straddles the block limit) must certify clean, with the
-   r10-in-r12 re-homing applied; a deliberately corrupted plan (one
-   fused constant off by one) must be convicted with a concrete state;
-   an engine whose [sb_certify] hook vetoes every plan must fall back to
-   plain blocks and still match the native interpreter.
+   Certifier: a crafted hot chain (the superblock suite's, from
+   {!Side_by_side} — the loop body straddles the block limit) must
+   certify clean, with the r10-in-r12 re-homing applied; a deliberately
+   corrupted plan (one fused constant off by one) must be convicted with
+   a concrete state; an engine whose [sb_certify] hook vetoes every plan
+   must fall back to plain blocks and still match the native
+   interpreter.
 
-   Abstract interpretation: stack-disciplined functions prove clean,
-   a seeded constant store into the code section convicts exactly its
-   own word (word-granular ranges), and spans straddling the end of the
-   code section stay conservatively SMC-suspect. CFG recovery keeps
-   blocks reachable only through superblock side exits and feeds the
-   indirect-call census.
-
-   Elision: with the proven clean map installed, image-window stores
-   skip the cover-map probe (counted) and the architectural outcome
-   still matches the native arm; on a self-modifying image the patch
-   word stays unclean, so the store is caught, the trace evicted, and
-   the map dropped with the flush. *)
+   Abstract interpretation, a report with no runtime consumer:
+   stack-disciplined functions prove clean, a seeded constant store into
+   the code section convicts exactly its own word (word-granular
+   ranges), and spans straddling the end of the code section stay
+   conservatively SMC-suspect. CFG recovery keeps blocks reachable only
+   through superblock side exits and feeds the indirect-call census. *)
 
 open Tk_isa
 open Tk_isa.Types
-open Tk_machine
 open Tk_dbt
 module Cfg = Tk_analysis.Cfg
 module Absint = Tk_analysis.Absint
 module Certify = Tk_analysis.Certify
 module Image_lint = Tk_analysis.Image_lint
 module Finding = Tk_analysis.Finding
+open Side_by_side
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-let rep n i = List.init n (fun _ -> Asm.Ins i)
-let ret = at (Bx Types.lr)
-let base = Soc.kernel_base
 let classify_none _ = Translator.T_normal
 
-type arch = { regs : int array; flags : int }
-
-let run_native image entry =
-  let soc = Soc.create () in
-  Mem.load_image soc.Soc.mem image;
-  let interp = Interp.create ~soc () in
-  let stop = ref false in
-  interp.Interp.on_svc <- (fun _ _ _ -> stop := true);
-  let cpu = interp.Interp.cpu in
-  let stub = base + (4 * Array.length image.Asm.words) + 64 in
-  Mem.ram_write soc.Soc.mem stub 4 (V7a.encode_exn (at (Svc 0)));
-  cpu.Exec.r.(Types.lr) <- stub;
-  Interp.set_pc interp (Asm.symbol image entry);
-  let steps = ref 0 in
-  (try
-     while not !stop do
-       incr steps;
-       if !steps > 1_000_000 then failwith "native runaway";
-       Interp.step interp
-     done
-   with e -> Alcotest.failf "native arm: %s" (Printexc.to_string e));
-  { regs = Array.copy cpu.Exec.r; flags = Exec.flags_word cpu }
-
-(* superblock engine run with optional SMC-clean map / certifier hook *)
-let run_sb ?(threshold = 4) ?ranges ?admit image entry =
-  let soc = Soc.create () in
-  Mem.load_image soc.Soc.mem image;
-  let engine = Engine.create ~soc ~mode:Translator.Ark () in
-  engine.Engine.superblock <- true;
-  engine.Engine.sb_threshold <- threshold;
-  (match ranges with Some r -> Engine.set_smc_map engine r | None -> ());
-  (match admit with Some f -> engine.Engine.sb_certify <- Some f | None -> ());
-  let cpu = Exec.make_cpu () in
-  cpu.Exec.r.(Types.lr) <- Layout.exit_magic;
-  cpu.Exec.r.(Types.pc) <- Engine.entry_host engine (Asm.symbol image entry);
-  (try Engine.run engine cpu ~fuel:5_000_000 with
-  | Engine.Context_exit -> ()
-  | e -> Alcotest.failf "superblock arm: %s" (Printexc.to_string e));
-  ( { regs = Array.init 16 (fun i -> Engine.guest_reg engine cpu i);
-      flags = Exec.flags_word cpu },
-    engine )
-
-let check_arch label n s =
-  for i = 0 to 10 do
-    checki (Printf.sprintf "%s: r%d matches native" label i) n.regs.(i)
-      s.regs.(i)
-  done;
-  checki (label ^ ": flags match native") n.flags s.flags
-
 (* ------------------------- crafted images ----------------------------- *)
-
-(* hot loop whose body straddles the block limit: the backedge chain is
-   two translation blocks, and the guest never touches r12, so the
-   planner re-homes r10 — the certifier must model both transforms *)
-let hot_image () =
-  let items =
-    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (10, 0)));
-      Asm.Ins (at (Movw (1, 200))); Asm.Label ".top" ]
-    @ rep 18 (at (Dp (ADD, false, 0, 0, Imm 1)))
-    @ [ Asm.Ins (at (Dp (ADD, false, 10, 10, Imm 3)));
-        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
-        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
-        Asm.Bcc (NE, ".top");
-        Asm.Ins ret ]
-  in
-  Asm.link ~base [ { Asm.name = "hotfn"; items } ] []
 
 (* the chain the engine forms on [hot_image]: [.top] splits at the
    16-instruction limit, so the second constituent starts 64 bytes in *)
@@ -121,57 +48,6 @@ let certify image plan =
     ~read_guest:(Certify.read_guest_of_image image)
     ~classify_target:classify_none
     ~block_limit:Translator.default_block_limit plan
-
-(* hot store loop: every iteration writes the counter into the image
-   data window (probe territory), but the target is a proven constant
-   past the code section — every code word is SMC-clean *)
-let store_image () =
-  let data = base + 0x8000 in
-  let str_data =
-    Mem { ld = false; size = Word; rt = 0; rn = 3; off = Oimm 0; idx = Offset }
-  in
-  let items =
-    (* the target address is materialized inside the loop body: the
-       analysis is per-block, so the store's base must be a constant in
-       its own block for the word to prove clean *)
-    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (1, 200)));
-      Asm.Label ".top";
-      Asm.Ins (at (Movw (3, data land 0xFFFF)));
-      Asm.Ins (at (Movt (3, data lsr 16))) ]
-    @ rep 13 (at (Dp (ADD, false, 0, 0, Imm 1)))
-    @ [ Asm.Ins (at str_data);
-        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
-        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
-        Asm.Bcc (NE, ".top");
-        Asm.Ins ret ]
-  in
-  Asm.link ~base [ { Asm.name = "storefn"; items } ] []
-
-(* the §7.3 SMC shape: the second constituent block of the formed trace
-   patches the first block's code on the r1 = 20 iteration *)
-let smc_image () =
-  let enc = V7a.encode_exn (at (Dp (ADD, false, 0, 0, Imm 100))) in
-  let str_word =
-    Mem { ld = false; size = Word; rt = 2; rn = 3; off = Oimm 0; idx = Offset }
-  in
-  let items =
-    [ Asm.Ins (at (Movw (0, 0))); Asm.Ins (at (Movw (1, 40)));
-      Asm.Label ".top"; Asm.Label ".patch";
-      Asm.Ins (at (Dp (ADD, false, 0, 0, Imm 2))) ]
-    @ rep 15 (at (Dp (ADD, false, 0, 0, Imm 1)))
-    @ [ Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 20)));
-        Asm.Bcc (NE, ".skip");
-        Asm.Ins (at (Movw (2, enc land 0xFFFF)));
-        Asm.Ins (at (Movt (2, enc lsr 16)));
-        Asm.Adr (3, ".patch");
-        Asm.Ins (at str_word);
-        Asm.Label ".skip";
-        Asm.Ins (at (Dp (SUB, false, 1, 1, Imm 1)));
-        Asm.Ins (at (Dp (CMP, true, 0, 1, Imm 0)));
-        Asm.Bcc (NE, ".top");
-        Asm.Ins ret ]
-  in
-  Asm.link ~base [ { Asm.name = "smcfn"; items } ] []
 
 (* side exit inside the hot loop to a cold block nothing else reaches *)
 let side_exit_image () =
@@ -410,35 +286,6 @@ let test_absint_straddle_end () =
   let v = verdict_of r "kernel_main" in
   checkb "straddling store convicts" true (not v.Absint.v_clean)
 
-(* --------------------------- probe elision ---------------------------- *)
-
-let test_elision_counts_and_matches () =
-  let image = store_image () in
-  let r = Absint.analyze (Cfg.build image) in
-  checkb "crafted store loop proves fully clean" true
-    (r.Absint.a_clean_ranges <> []);
-  let n = run_native image "storefn" in
-  let s_off, e_off = run_sb image "storefn" in
-  check_arch "no map" n s_off;
-  checki "no probe elided without a map" 0 e_off.Engine.probes_elided;
-  let s_on, e_on = run_sb ~ranges:r.Absint.a_clean_ranges image "storefn" in
-  check_arch "with map" n s_on;
-  checkb "probes elided under the proven map" true
-    (e_on.Engine.probes_elided > 0);
-  checki "nothing invalidated" 0 e_on.Engine.invalidations
-
-let test_elision_preserves_smc () =
-  let image = smc_image () in
-  let r = Absint.analyze (Cfg.build image) in
-  (* the patch store's word is unclean, so the map cannot exempt it *)
-  let n = run_native image "smcfn" in
-  let s, engine = run_sb ~ranges:r.Absint.a_clean_ranges image "smcfn" in
-  check_arch "smc with map" n s;
-  checkb "store into the trace still caught" true
-    (engine.Engine.invalidations >= 1);
-  checkb "whole cache evicted" true (engine.Engine.flushes >= 1);
-  checkb "map dropped with the flush" true (engine.Engine.smc_map = None)
-
 let () =
   Alcotest.run "certify"
     [ ( "trace certifier",
@@ -465,9 +312,4 @@ let () =
           Alcotest.test_case "SMC store convicts its own word" `Quick
             test_absint_smc_word_granular;
           Alcotest.test_case "stores straddling the image end" `Quick
-            test_absint_straddle_end ] );
-      ( "probe elision",
-        [ Alcotest.test_case "clean map elides probes, outcome matches"
-            `Quick test_elision_counts_and_matches;
-          Alcotest.test_case "self-modifying store still caught" `Quick
-            test_elision_preserves_smc ] ) ]
+            test_absint_straddle_end ] ) ]
