@@ -464,7 +464,6 @@ let run_cmd mode tier cache_dir cycles layout sleep_ms glitch_every
         match concurrent with
         | `Off -> Ark_run.suspend_resume_cycle ~resume_native ark
         | `Interleave -> Ark_run.concurrent_cycle ark
-        | `Domains -> Ark_run.concurrent_cycle ~domains:true ark
       in
       if verbose then
         Printf.printf "cycle %d: %s\n%!" i
@@ -906,15 +905,14 @@ let quantum_arg =
 let concurrent_arg =
   Arg.(value
        & opt
-           (enum
-              [ ("off", `Off); ("interleave", `Interleave);
-                ("domains", `Domains) ])
+           (enum [ ("off", `Off); ("interleave", `Interleave) ])
            `Off
        & info [ "concurrent-cores" ] ~docv:"HOW"
            ~doc:"Run each offloaded phase concurrently with an A9 guest \
                  CPU workload under the lockstep scheduler: interleave \
-                 (deterministic, single host domain) or domains (one \
-                 host domain per core; same results, better wall-clock).")
+                 runs both cores' lanes in rounds of --quantum ns \
+                 (20000 when unset), in a fixed order, so results are \
+                 deterministic; off runs the phases alone.")
 
 let trace_arg =
   Arg.(value & opt (some string) None

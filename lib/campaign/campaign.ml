@@ -16,7 +16,8 @@
     workers there were. Everything that lands in the document's
     deterministic sections ([meta]/[tasks]/[aggregate], digested) is a
     pure function of the campaign identity; host figures (wall time,
-    jobs, core count) are quarantined in [host], outside the digest.
+    jobs, core count, the checkout's git revision) are quarantined in
+    [host], outside the digest.
     The acceptance test: the same [--seed] produces byte-identical
     deterministic sections — and therefore the same digest — at any
     [--jobs] value. test/test_campaign.ml pins exactly that, for all
@@ -271,8 +272,7 @@ let run (cfg : config) =
   let meta =
     J.Obj
       [ ("kind", J.Str (kind_name kind)); ("seed", J.Int seed);
-        ("tasks", J.Int tasks);
-        ("git_rev", J.Str (Run_manifest.git_rev ())) ]
+        ("tasks", J.Int tasks) ]
   in
   let tasks_json = J.Arr task_docs in
   let aggregate =
@@ -294,7 +294,8 @@ let run (cfg : config) =
     J.Obj
       [ ("jobs", J.Int jobs); ("wall_s", J.Num wall_s);
         ( "host_cores",
-          J.Int (Domain.recommended_domain_count ()) ) ]
+          J.Int (Domain.recommended_domain_count ()) );
+        ("git_rev", J.Str (Run_manifest.git_rev ())) ]
   in
   let doc =
     J.Obj

@@ -26,9 +26,9 @@
     - all digested figures are integers (energy in nJ) folded through
       commutative sums and mergeable {!Tk_stats.Sketch} buckets.
 
-    Anything host- or order-dependent (wall time, jobs, world snapshot
-    stats — restore traffic depends on execution order) lives in the
-    undigested [host] section. *)
+    Anything host- or order-dependent (wall time, jobs, the checkout's
+    git revision, world snapshot stats — restore traffic depends on
+    execution order) lives in the undigested [host] section. *)
 
 open Tk_isa
 open Tk_machine
@@ -642,8 +642,7 @@ let run (cfg : config) =
         ( "configs",
           J.Arr
             (Array.to_list
-               (Array.map (fun d -> J.Str d.dc_name) dconfigs)) );
-        ("git_rev", J.Str (Run_manifest.git_rev ())) ]
+               (Array.map (fun d -> J.Str d.dc_name) dconfigs)) ) ]
   in
   let shards_json = J.Arr shard_docs in
   let aggregate =
@@ -674,6 +673,7 @@ let run (cfg : config) =
         ("quantum", J.Int cfg.quantum);
         ("wall_s", J.Num wall_s);
         ("host_cores", J.Int (Domain.recommended_domain_count ()));
+        ("git_rev", J.Str (Run_manifest.git_rev ()));
         ("world", J.counters_obj host_world) ]
   in
   let doc =

@@ -243,24 +243,23 @@ let suspend_resume_cycle ?(prepare_traffic = true) ?(resume_native = false) t =
    platform, so the A9 can churn it while ARK owns the guest kernel *)
 let workload_base = Soc.code_cache_base + Soc.code_cache_size
 
-(* [concurrent_phase t which ~domains ~workload_bytes] — run one
-   offloaded phase on the M3 *while* the A9 executes a guest CPU
-   workload (an IRQ-masked [memset] over scratch DRAM), under the
-   bounded-quantum lockstep scheduler:
+(* [concurrent_phase t which ~workload_bytes] — run one offloaded
+   phase on the M3 *while* the A9 executes a guest CPU workload (an
+   IRQ-masked [memset] over scratch DRAM), under the bounded-quantum
+   lockstep scheduler:
 
    - the M3 gets a private clock lane (events already armed for devices
      move with it — devices are M3-owned during the segment, via
      [Soc.sched_clock]);
    - the A9 keeps the platform clock and runs with IRQs masked: no MMIO,
-     no events, no shared guest state (it only touches the scratch);
+     no events, no shared guest state (it only touches the scratch and
+     the boot thread's own stack);
    - the recorder is paused for the lanes, its writes done at the
-     barriers (see [Tk_stats.Recorder]). So between barriers the lanes'
-     mutable state is disjoint and [~domains:true] may run them on
-     separate host domains;
+     barriers (see [Tk_stats.Recorder]);
    - at the end the lane merges back into the platform clock preserving
      the global (at, seq) event order, and the platform returns to the
      sequential single-clock regime. *)
-let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
+let concurrent_phase t which ~workload_bytes : Ark.outcome =
   let soc = (plat t).soc in
   let nat = t.nat in
   let quantum = if t.quantum > 0 then t.quantum else 20_000 in
@@ -281,10 +280,13 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
   Core.set_clock soc.Soc.m3 lane;
   Timer.set_clock soc.Soc.m3_timer lane;
   soc.Soc.sched_clock <- lane;
-  (* A9 workload: staged, IRQ-masked, pure CPU + scratch DRAM *)
+  (* A9 workload: staged, IRQ-masked, pure CPU + scratch DRAM, on the
+     boot thread's stack. After a fallback the A9's SP still points into
+     the migrated DBT context's stack slot, which the M3 reuses *)
   let cpu = nat.Native_run.interp.Interp.cpu in
-  let irq_was = cpu.Exec.irq_on in
+  let irq_was = cpu.Exec.irq_on and sp_was = cpu.Exec.r.(Types.sp) in
   cpu.Exec.irq_on <- false;
+  cpu.Exec.r.(Types.sp) <- Soc.stack_top Layout.thr_main;
   Native_run.start_call nat "memset" [ workload_base; 0x5A; workload_bytes ];
   let a9_done = ref false in
   let a9 =
@@ -308,12 +310,13 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
       (* back to the single-clock regime whatever happened: merge the
          lane's remaining events into the platform clock (global
          (at, seq) order preserved), restore the pointers and the A9's
-         interrupt mask *)
+         interrupt mask and SP *)
       Lockstep.merge_lane ~into:main lane;
       Core.set_clock soc.Soc.m3 main;
       Timer.set_clock soc.Soc.m3_timer main;
       soc.Soc.sched_clock <- main;
       cpu.Exec.irq_on <- irq_was;
+      cpu.Exec.r.(Types.sp) <- sp_was;
       t.ark.Ark.tick_on <- false)
     (fun () ->
       let ls = Lockstep.create ~quantum [ a9; m3 ] in
@@ -325,7 +328,7 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
         Fun.protect
           ~finally:(fun () -> Tk_stats.Recorder.pause rc None)
           (fun () ->
-            Lockstep.run ~domains
+            Lockstep.run
               ~on_barrier:(fun () -> Tk_stats.Recorder.barrier rc)
               ls)
       in
@@ -335,13 +338,14 @@ let concurrent_phase t which ~domains ~workload_bytes : Ark.outcome =
 (** [concurrent_cycle t] — one full ephemeral-task cycle with both
     device phases offloaded and a guest CPU workload riding on the A9
     concurrently with each ([workload_bytes] of scratch [memset] per
-    phase). [domains] runs the two cores on separate host domains —
-    results are identical to the deterministic interleave, only
-    wall-clock differs. Returns [`Ok] or [`Fell_back reason]. *)
+    phase). [domains] is vestigial (see the interface). Returns [`Ok]
+    or [`Fell_back reason]. *)
 let concurrent_cycle ?(prepare_traffic = true) ?(domains = false)
     ?(workload_bytes = 256 * 1024) t =
+  if domains then
+    invalid_arg "Ark_run.concurrent_cycle: the Domain driver is deleted";
   cycle t ~prepare_traffic ~resume_native:false ~offload:(fun which ->
-      concurrent_phase t which ~domains ~workload_bytes)
+      concurrent_phase t which ~workload_bytes)
 
 (** Per-cycle phase events, oldest first (same shape as the native
     runner's). *)

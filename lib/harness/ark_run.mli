@@ -82,9 +82,14 @@ val concurrent_cycle :
     a guest CPU workload ([workload_bytes] of IRQ-masked scratch
     [memset]) riding on the A9 {e concurrently} with each, under the
     bounded-quantum lockstep scheduler (quantum from [t.quantum],
-    default 20 us when unset). [domains] runs the two cores on separate
-    host domains — architectural results are identical to the
-    deterministic interleave, only wall-clock differs. *)
+    default 20 us when unset). The two cores run in one deterministic
+    interleave on the calling thread.
+
+    [domains] is vestigial: it once ran the cores on separate host
+    domains, a driver deleted because it was slower than the
+    interleave. [~domains:true] raises [Invalid_argument]; the
+    argument stays only for the benchmark's [~domains:false] caller,
+    and ROADMAP item 6 deletes it together with that caller. *)
 
 val events_of_cycle : t -> before:int -> phase_event list
 (** the phase events recorded since [before] (a prior length of

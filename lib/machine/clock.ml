@@ -17,11 +17,11 @@
     seed's were O(n) — fleet worlds carry dozens of armed timers and
     device completions, where the quadratic list walk was measurable.
 
-    Lanes split from one platform clock {e share} the [seq] allocator:
-    the global [(at, seq)] order over both lanes' events is therefore
-    total and identical to what a single merged queue would produce,
-    which is what makes the lockstep scheduler's barrier commit order
-    (time, seq, lane) deterministic and quantum=1 digest-identical. *)
+    Lanes split from one platform clock {e share} the [seq] counter (by
+    reference): the global [(at, seq)] order over both lanes' events is
+    therefore total and identical to what a single merged queue would
+    produce, which is what makes {!Lockstep.merge_lane} replay the
+    sequential order and quantum=1 digest-identical. *)
 
 type event = {
   at : int;
@@ -34,10 +34,10 @@ type t = {
   mutable now : int;  (** ns since simulation start *)
   mutable heap : event array;  (** min-heap by (at, seq); [size] slots used *)
   mutable size : int;
-  seq : int Atomic.t;
-      (** shared by every lane split from one platform clock — atomic so
-          concurrent lanes on separate domains still mint unique,
-          totally-ordered tie-breakers *)
+  seq : int ref;
+      (** the insertion counter, shared by every lane split from one
+          platform clock so their tie-breakers are unique and totally
+          ordered *)
   mutable next_at : int;
       (** [at] of the earliest live event, [max_int] when none — may
           transiently under-report after a root cancellation, which only
@@ -49,11 +49,11 @@ type t = {
 let dummy = { at = 0; seq = -1; fn = ignore; live = false }
 
 let create () =
-  { now = 0; heap = Array.make 8 dummy; size = 0; seq = Atomic.make 0;
+  { now = 0; heap = Array.make 8 dummy; size = 0; seq = ref 0;
     next_at = max_int }
 
 (** [lane t] — a fresh empty queue at [t]'s current time sharing [t]'s
-    [seq] allocator, so events scheduled on either keep a total global
+    [seq] counter, so events scheduled on either keep a total global
     (at, seq) order. Used by the lockstep scheduler to give the M3 a
     private per-core queue. *)
 let lane t =
@@ -134,8 +134,9 @@ let rec purge t =
 (** [at t ns fn] schedules [fn] to run at absolute time [ns] (clamped to
     now). Returns a cancel function. *)
 let at t ns fn =
-  let ev = { at = max ns t.now; seq = Atomic.fetch_and_add t.seq 1; fn;
-             live = true } in
+  let seq = !(t.seq) in
+  t.seq := seq + 1;
+  let ev = { at = max ns t.now; seq; fn; live = true } in
   push t ev;
   fun () ->
     if ev.live then begin
@@ -199,10 +200,10 @@ let skip_to_next_event t ~limit =
 (* --------------------------- snapshots ---------------------------- *)
 
 (** [seq_value t] / [pending t] — the capture half of World fork: the
-    allocator position and the live pending events in (at, seq) order.
+    counter position and the live pending events in (at, seq) order.
     The returned records are fresh copies, so cancellations that happen
     after the capture cannot reach into the snapshot. *)
-let seq_value t = Atomic.get t.seq
+let seq_value t = !(t.seq)
 
 let pending t =
   let live = ref [] in
@@ -215,13 +216,13 @@ let pending t =
     !live
 
 (** [restore_pending t ~now ~seq evs] — the restore half: rewind time
-    and the allocator and replace the whole queue with (fresh copies of)
+    and the counter and replace the whole queue with (fresh copies of)
     [evs]. Cancel handles minted before the restore are dead letters
     afterwards — every in-tree cancel user (the tick timers) is
     stopped/re-armed around a World restore, so none survive. *)
 let restore_pending t ~now ~seq evs =
   t.now <- now;
-  Atomic.set t.seq seq;
+  t.seq := seq;
   t.size <- 0;
   Array.fill t.heap 0 (Array.length t.heap) dummy;
   t.next_at <- max_int;

@@ -12,23 +12,20 @@
       sequence — which bounds worst-case skew at [quantum + that tail]);
     - at the barrier, cross-lane effects posted during the round (IRQ
       deliveries, DMA completions, shared-memory pokes) are committed in
-      a fixed (time, lane, arrival-seq) order, so the observable
-      interleaving is a pure function of the configuration — never of
-      host scheduling;
-    - lanes share the platform clock's [seq] allocator, so the merged
+      a fixed (time, lane, arrival) order, so the observable
+      interleaving is a pure function of the configuration;
+    - lanes share the platform clock's [seq] counter, so the merged
       event order across both queues is total, and at [--quantum 1] a
       solo-core run is byte-identical to the sequential scheduler
       (CI-gated against the manifest and fleet digests).
 
-    Rounds are driven either by a deterministic interleave (lane order
-    fixed, single domain — the default) or with each extra lane on its
-    own [Domain] ([~domains:true]) — the barrier is then a real
-    synchronization point. Domain mode requires the lanes to touch
-    disjoint mutable state between barriers. The harness arranges this:
-    the A9 runs IRQ-masked CPU work, the M3 owns the devices via
-    [Soc.sched_clock], and the recorder substrate is paused for the
-    lanes — the M3's phase marks are {!post}ed and the sampler's due
-    row taken by [on_barrier], both on the driving domain. *)
+    {!run} steps the lanes one after another, in lane order. Between
+    barriers the lanes touch disjoint mutable state (the harness runs
+    IRQ-masked CPU work on the A9, and the M3 owns the devices via
+    [Soc.sched_clock]), so no lane sees how far another has run within
+    a round. The recorder substrate is paused for the lanes: the M3's
+    phase marks are {!post}ed and the sampler's due row taken by
+    [on_barrier]. *)
 
 type status = [ `Runnable | `Blocked | `Done ]
 
@@ -43,7 +40,7 @@ type lane = {
           cross-lane commit can wake it. *)
 }
 
-type commit = { c_at : int; c_seq : int; c_fn : unit -> unit }
+type commit = { c_at : int; c_lane : int; c_fn : unit -> unit }
 
 type stats = {
   mutable rounds : int;
@@ -57,8 +54,7 @@ type t = {
   quantum : int;
   lanes : lane array;
   status : status array;
-  posted : commit list ref array;  (** per-lane, newest first *)
-  seqs : int array;  (** per-lane commit arrival counters *)
+  mutable posted : commit list;  (** newest first *)
   stats : stats;
   mutable barrier_at : int;
 }
@@ -74,39 +70,30 @@ let create ~quantum lanes =
         invalid_arg "Lockstep.create: lanes must start at a common time")
     lanes;
   { quantum; lanes; status = Array.make (Array.length lanes) `Runnable;
-    posted = Array.init (Array.length lanes) (fun _ -> ref []);
-    seqs = Array.make (Array.length lanes) 0;
+    posted = [];
     stats = { rounds = 0; commits = 0; max_skew_ns = 0 };
     barrier_at = start }
 
 (** [post t ~lane fn] — record a cross-lane effect produced by [lane]
     during the current round; [fn] runs at the next barrier, ordered by
-    (time-posted-at, lane, arrival order). Lanes may only post from
-    their own execution (in domain mode this keeps the buffers
-    single-writer). *)
+    (time-posted-at, lane, arrival order). *)
 let post t ~lane fn =
-  let at = t.lanes.(lane).l_clock.Clock.now in
-  let seq = t.seqs.(lane) in
-  t.seqs.(lane) <- seq + 1;
-  let buf = t.posted.(lane) in
-  buf := { c_at = at; c_seq = seq; c_fn = fn } :: !buf
+  t.posted <-
+    { c_at = t.lanes.(lane).l_clock.Clock.now; c_lane = lane; c_fn = fn }
+    :: t.posted
 
-(* flush every posted commit in (time, lane, arrival) order; returns how
-   many ran. Commits run on the driving domain, after all lanes have
-   reached the barrier — they may schedule events on any lane. *)
+(* flush every posted commit in (time, lane, arrival) order — a stable
+   sort of the arrival-ordered list; returns how many ran. Commits run
+   after all lanes have reached the barrier: they may schedule events
+   on any lane, and what they post goes to the next barrier. *)
 let flush_commits t =
-  let all = ref [] in
-  Array.iteri
-    (fun lane buf ->
-      List.iter (fun c -> all := (c.c_at, lane, c.c_seq, c.c_fn) :: !all) !buf;
-      buf := [])
-    t.posted;
   let ordered =
-    List.sort
-      (fun (a1, l1, s1, _) (a2, l2, s2, _) -> compare (a1, l1, s1) (a2, l2, s2))
-      !all
+    List.stable_sort
+      (fun a b -> compare (a.c_at, a.c_lane) (b.c_at, b.c_lane))
+      (List.rev t.posted)
   in
-  List.iter (fun (_, _, _, fn) -> fn ()) ordered;
+  t.posted <- [];
+  List.iter (fun c -> c.c_fn ()) ordered;
   List.length ordered
 
 exception Deadlock of string
@@ -163,10 +150,10 @@ let any_live t =
   done;
   !r
 
-(* the barrier, on the driving domain once every lane has reached it:
-   commits, then [on_barrier], then the forward-progress check — a
-   round where every live lane is blocked, no commit ran and no lane
-   holds a pending event can never unblock *)
+(* the barrier, once every lane has reached it: commits, then
+   [on_barrier], then the forward-progress check — a round where every
+   live lane is blocked, no commit ran and no lane holds a pending
+   event can never unblock *)
 let barrier t ~on_barrier =
   record_skew t;
   let committed = flush_commits t in
@@ -189,9 +176,11 @@ let barrier t ~on_barrier =
              commits pending (" ^ describe t ^ ")"))
   end
 
-(* ------------------------ deterministic rounds ----------------------- *)
-
-let run_interleaved t ~on_barrier =
+(** [run ?on_barrier t] — drive all lanes to [`Done]: each round steps
+    every live lane, in lane order, up to the round boundary, then holds
+    the barrier; after each barrier's commits, [on_barrier] runs.
+    Returns the stats. *)
+let run ?(on_barrier = ignore) t =
   while any_live t do
     t.stats.rounds <- t.stats.rounds + 1;
     t.barrier_at <- t.barrier_at + t.quantum;
@@ -199,104 +188,13 @@ let run_interleaved t ~on_barrier =
       if live t i then step_lane t i ~deadline:t.barrier_at
     done;
     barrier t ~on_barrier
-  done
-
-(* --------------------------- domain rounds --------------------------- *)
-
-(* One persistent worker domain per extra lane; the main domain runs
-   lane 0. Each round: publish the boundary, let every live lane run
-   concurrently, then rendezvous — the mutex/condition pair is the
-   barrier. Commits are flushed on the main domain only, between
-   rounds, so cross-lane state is never touched concurrently. *)
-type worker_cmd = Run of int | Quit
-
-type worker_box = {
-  mu : Mutex.t;
-  cv : Condition.t;
-  mutable cmd : worker_cmd option;
-  mutable done_round : bool;
-}
-
-let run_domains t ~on_barrier =
-  let n = Array.length t.lanes in
-  let boxes =
-    Array.init (n - 1) (fun _ ->
-        { mu = Mutex.create (); cv = Condition.create (); cmd = None;
-          done_round = false })
-  in
-  let workers =
-    Array.init (n - 1) (fun w ->
-        Domain.spawn (fun () ->
-            let box = boxes.(w) in
-            let lane = w + 1 in
-            let rec serve () =
-              Mutex.lock box.mu;
-              while box.cmd = None do
-                Condition.wait box.cv box.mu
-              done;
-              let cmd = Option.get box.cmd in
-              box.cmd <- None;
-              Mutex.unlock box.mu;
-              match cmd with
-              | Quit -> ()
-              | Run deadline ->
-                if live t lane then step_lane t lane ~deadline;
-                Mutex.lock box.mu;
-                box.done_round <- true;
-                Condition.signal box.cv;
-                Mutex.unlock box.mu;
-                serve ()
-            in
-            serve ()))
-  in
-  let tell w cmd =
-    let box = boxes.(w) in
-    Mutex.lock box.mu;
-    box.cmd <- Some cmd;
-    Condition.signal box.cv;
-    Mutex.unlock box.mu
-  in
-  let await w =
-    let box = boxes.(w) in
-    Mutex.lock box.mu;
-    while not box.done_round do
-      Condition.wait box.cv box.mu
-    done;
-    box.done_round <- false;
-    Mutex.unlock box.mu
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      for w = 0 to n - 2 do
-        tell w Quit
-      done;
-      Array.iter Domain.join workers)
-    (fun () ->
-      while any_live t do
-        t.stats.rounds <- t.stats.rounds + 1;
-        t.barrier_at <- t.barrier_at + t.quantum;
-        for w = 0 to n - 2 do
-          tell w (Run t.barrier_at)
-        done;
-        if live t 0 then step_lane t 0 ~deadline:t.barrier_at;
-        for w = 0 to n - 2 do
-          await w
-        done;
-        barrier t ~on_barrier
-      done)
-
-(** [run ?domains ?on_barrier t] — drive all lanes to [`Done]; after
-    each barrier's commits, [on_barrier] runs on the driving domain.
-    Returns the stats. *)
-let run ?(domains = false) ?(on_barrier = ignore) t =
-  if domains && Array.length t.lanes > 1 then run_domains t ~on_barrier
-  else run_interleaved t ~on_barrier;
+  done;
   t.stats
 
 (** [merge_lane ~into lane] — after a concurrent segment: advance the
     surviving clock to the latest lane time and fold any still-pending
     lane events back onto it with their original (at, seq), so the
-    merged queue fires in exactly the order the shared-allocator global
+    merged queue fires in exactly the order the shared-counter global
     order defines. The lane is left empty at the merged time. *)
 let merge_lane ~(into : Clock.t) (lane : Clock.t) =
   into.Clock.now <- max into.Clock.now lane.Clock.now;

@@ -9,10 +9,12 @@
 
     Single-writer rule: one host domain at a time may call in. A
     lockstep concurrent segment {!pause}s the recorder while its lanes
-    run; one lane's phase marks are posted to the next barrier, where
-    the driving domain applies them and takes the sampler's due row
-    ({!barrier}). Point events and run and translation bursts inside a
-    segment are not recorded. *)
+    run, because the time hook reads the platform clock, which is then
+    the A9's lane: an M3 event recorded there would carry the A9's
+    time. The M3 lane's phase marks are posted to the next barrier,
+    which applies them and takes the sampler's due row ({!barrier}).
+    Point events and run and translation bursts inside a segment are
+    not recorded. *)
 
 open Substrate
 
@@ -58,8 +60,8 @@ let tick r =
   if r.sub.on land sampler_bit <> 0 && r.sub.now () >= ts.Timeseries.next_due
   then Timeseries.sample_now ts
 
-(* [f] at a barrier of a paused segment: every lane is stopped, so the
-   driving domain is the one writer *)
+(* [f] at a barrier of a paused segment, where every lane is stopped at
+   the boundary *)
 let unpaused r f =
   Substrate.pause r.sub false;
   f ();

@@ -110,6 +110,20 @@ let test_jobs_invariance kind () =
     (deterministic_part t1.Campaign.doc)
     (deterministic_part t4.Campaign.doc)
 
+(* the digest is a function of the campaign identity alone: the
+   checkout's revision, found from the cwd, is recorded only in the
+   host section *)
+let test_cwd_independence () =
+  let cfg = small_config Campaign.Whatif in
+  let inside =
+    Work_tree.(in_temp_dir ~rev:fake_rev) (fun () -> Campaign.run cfg)
+  in
+  let outside = Work_tree.in_temp_dir (fun () -> Campaign.run cfg) in
+  Alcotest.(check string) "digest inside = outside a work tree"
+    inside.Campaign.digest outside.Campaign.digest;
+  Alcotest.(check bool) "the revision is recorded in host" true
+    Work_tree.(host_git_rev inside.Campaign.doc = Some (J.Str fake_rev))
+
 let test_seed_sensitivity () =
   (* different seeds must actually change the work (guards against a
      digest that ignores its inputs) *)
@@ -166,7 +180,9 @@ let () =
           Alcotest.test_case "whatif: jobs=1 = jobs=4" `Quick
             (test_jobs_invariance Campaign.Whatif);
           Alcotest.test_case "seed moves the digest" `Quick
-            test_seed_sensitivity ] );
+            test_seed_sensitivity;
+          Alcotest.test_case "digest is cwd-independent" `Quick
+            test_cwd_independence ] );
       ( "campaign",
         [ Alcotest.test_case "clean run reports no errors" `Quick
             test_campaign_error_capture;

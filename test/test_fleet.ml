@@ -70,6 +70,19 @@ let test_schedule_invariance () =
     (deterministic_part fwd.Fleet.doc)
     (deterministic_part rev.Fleet.doc)
 
+(* the digest is a function of the configuration alone: the checkout's
+   revision, found from the cwd, is recorded only in the host section *)
+let test_cwd_independence () =
+  let cfg = { (small Arrival.Poisson) with Fleet.devices = 2 } in
+  let inside =
+    Work_tree.(in_temp_dir ~rev:fake_rev) (fun () -> Fleet.run cfg)
+  in
+  let outside = Work_tree.in_temp_dir (fun () -> Fleet.run cfg) in
+  Alcotest.(check string) "digest inside = outside a work tree"
+    inside.Fleet.digest outside.Fleet.digest;
+  Alcotest.(check bool) "the revision is recorded in host" true
+    Work_tree.(host_git_rev inside.Fleet.doc = Some (J.Str fake_rev))
+
 let test_arrival_kinds_distinct () =
   (* the three generators must actually produce different work *)
   let d kind = (ref_run kind).Fleet.digest in
@@ -173,6 +186,8 @@ let () =
             (test_jobs_invariance Arrival.Diurnal);
           Alcotest.test_case "instance order is unobservable" `Quick
             test_schedule_invariance;
+          Alcotest.test_case "digest is cwd-independent" `Quick
+            test_cwd_independence;
           Alcotest.test_case "arrival kinds produce distinct work" `Quick
             test_arrival_kinds_distinct;
           Alcotest.test_case "seed moves the digest" `Quick
