@@ -253,11 +253,16 @@ let rec create ~(soc : Soc.t) ~mode () =
   let mem = soc.Soc.mem in
   let sub = rc.Tk_stats.Recorder.sub in
   let tcore = Tk_stats.Trace.core_m3 in
-  (* gic-private accesses surface as controller events, not reads *)
+  (* gic-private accesses surface as controller events, not reads. The
+     emulation, like every callback, runs with the M3's owed cycles
+     applied and its charges applied at once ({!Core.enter}) *)
   let load addr nbytes =
     if Soc.is_cpu_private addr then begin
       charge t cost_gic_fault;
-      t.cb.on_gic_access ~write:false addr 0
+      let outer = Core.enter m3 min_int in
+      let v = t.cb.on_gic_access ~write:false addr 0 in
+      Core.leave m3 outer;
+      v
     end
     else Core.load m3 mem rc ~tcore addr nbytes
   in
@@ -269,7 +274,9 @@ let rec create ~(soc : Soc.t) ~mode () =
   let store addr nbytes v =
     if Soc.is_cpu_private addr then begin
       charge t cost_gic_fault;
-      ignore (t.cb.on_gic_access ~write:true addr v)
+      let outer = Core.enter m3 min_int in
+      ignore (t.cb.on_gic_access ~write:true addr v);
+      Core.leave m3 outer
     end
     else if
       Core.store m3 mem rc ~tcore addr nbytes v
@@ -278,7 +285,11 @@ let rec create ~(soc : Soc.t) ~mode () =
       && addr < Soc.page_pool_base
     then sb_store_check t addr nbytes
   in
-  let svc cpu n = dispatch t cpu n in
+  let svc cpu n =
+    let outer = Core.enter m3 min_int in
+    dispatch t cpu n;
+    Core.leave m3 outer
+  in
   let wfi _ = raise (Host_error "host wfi in translated code") in
   let irq_ret _ = raise (Host_error "host exception return in translated code") in
   let undef _ i =
@@ -779,12 +790,14 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
      instruction's accounting is one [Core.retire], and each data
      access one [Core.load] or [Core.store], the same calls the
      interpreter makes; the release build inlines them with their
-     [Cache.access]/[Clock.advance] chain, keeping the loop body
-     register-tight. A warm cycle allocates under 0.1 minor words per
-     retired instruction (test_neutrality pins this for every tier):
-     the loop body allocates nothing, and a data-cache hit's
-     [Core.charge_stall] enters the event queue only when an event is
-     due.
+     [Cache.access] chain, keeping the loop body register-tight. The
+     M3 defers its charges up to the next event or [deadline_ns]
+     ({!Core.enter}), so the clock advances once per run of
+     instructions, and the probe's deadline test stays exact: the
+     charge that reaches the deadline applies. The loop leaves on
+     every exit, by exception included. A warm cycle allocates under
+     0.1 minor words per retired instruction (test_neutrality pins
+     this for every tier): the loop body allocates nothing.
    - Each instruction runs as its pre-decoded slot's compiled closure
      ({!Exec.compile}), with its operands resolved at decode time.
    - A host word marked in [fuse_next] (superblock tier) makes the next
@@ -813,60 +826,66 @@ let run_loop t (cpu : Exec.cpu) ~fuel =
   let cur_idx = ref 0 in
   let probe = ref true in
   let fused = ref false in
-  while true do
-    let partner = !fused in
-    if partner then fused := false
-    else begin
-      if !n >= fuel then raise (Host_error "DBT fuel exhausted");
-      incr n;
-      (* quantum check before the sampler tick so an unwound iteration
-         leaves no trace: the resumed iteration re-runs from here *)
-      if !probe && clock.Clock.now >= t.deadline_ns then raise Quantum;
-      if recording && sub.Tk_stats.Substrate.sampling then
-        Tk_stats.Recorder.tick rc;
-      if !probe then begin
-        let v = Array.unsafe_get r pc in
-        if v = Layout.exit_magic then raise Context_exit;
-        if not (in_cache t v) then
-          raise
-            (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" v));
-        let i0 = (v - Soc.code_cache_base) asr 2 in
-        let v' =
-          if Array.unsafe_get t.block_start i0 then block_boundary t cpu v i0
-          else v
-        in
-        cur := v';
-        cur_idx := (if v' = v then i0 else (v' - Soc.code_cache_base) asr 2);
-        probe := false
-      end
-    end;
-    let pcv = !cur and idx = !cur_idx in
-    let d =
-      let c = Array.unsafe_get t.host_decode idx in
-      if c != Exec.undecoded then c else decode_host t pcv
-    in
-    t.cur_pc <- pcv;
-    t.pc_overridden <- false;
-    t.host_executed <- t.host_executed + 1;
-    Core.retire m3 pcv ~fused:partner;
-    if recording && sub.Tk_stats.Substrate.tracing then
-      Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3
-        Tk_stats.Trace.ev_retire pcv 0;
-    match d.Exec.run cpu env pcv with
-    | Exec.Next ->
-      if t.pc_overridden then probe := true
+  let outer = Core.enter m3 t.deadline_ns in
+  try
+    while true do
+      let partner = !fused in
+      if partner then fused := false
       else begin
-        Array.unsafe_set r pc (pcv + 4);
-        cur := pcv + 4;
-        cur_idx := idx + 1;
-        (* greedy pairing never marks a partner, so a fused slot is
-           never itself followed by one *)
-        fused := Array.unsafe_get t.fuse_next idx
-      end
-    | Exec.Branched ->
-      Core.charge m3 cost_taken_branch;
-      probe := true
-  done
+        if !n >= fuel then raise (Host_error "DBT fuel exhausted");
+        incr n;
+        (* quantum check before the sampler tick so an unwound iteration
+           leaves no trace: the resumed iteration re-runs from here *)
+        if !probe && clock.Clock.now >= t.deadline_ns then raise Quantum;
+        if recording && sub.Tk_stats.Substrate.sampling then
+          Tk_stats.Recorder.tick rc;
+        if !probe then begin
+          let v = Array.unsafe_get r pc in
+          if v = Layout.exit_magic then raise Context_exit;
+          if not (in_cache t v) then
+            raise
+              (Host_error (Printf.sprintf "host pc outside code cache: 0x%x" v));
+          let i0 = (v - Soc.code_cache_base) asr 2 in
+          let v' =
+            if Array.unsafe_get t.block_start i0 then block_boundary t cpu v i0
+            else v
+          in
+          cur := v';
+          cur_idx := (if v' = v then i0 else (v' - Soc.code_cache_base) asr 2);
+          probe := false
+        end
+      end;
+      let pcv = !cur and idx = !cur_idx in
+      let d =
+        let c = Array.unsafe_get t.host_decode idx in
+        if c != Exec.undecoded then c else decode_host t pcv
+      in
+      t.cur_pc <- pcv;
+      t.pc_overridden <- false;
+      t.host_executed <- t.host_executed + 1;
+      Core.retire m3 pcv ~fused:partner;
+      if recording && sub.Tk_stats.Substrate.tracing then
+        Tk_stats.Recorder.event rc ~core:Tk_stats.Trace.core_m3
+          Tk_stats.Trace.ev_retire pcv 0;
+      match d.Exec.run cpu env pcv with
+      | Exec.Next ->
+        if t.pc_overridden then probe := true
+        else begin
+          Array.unsafe_set r pc (pcv + 4);
+          cur := pcv + 4;
+          cur_idx := idx + 1;
+          (* greedy pairing never marks a partner, so a fused slot is
+             never itself followed by one *)
+          fused := Array.unsafe_get t.fuse_next idx
+        end
+      | Exec.Branched ->
+        Core.charge m3 cost_taken_branch;
+        probe := true
+    done
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Core.leave m3 outer;
+    Printexc.raise_with_backtrace e bt
 
 (** [run t cpu ~fuel] executes translated code until the context returns
     to {!Layout.exit_magic} (raising {!Context_exit}) or a callback

@@ -67,8 +67,13 @@ let rec pretty ?(indent = 0) j =
 
 (* ------------------------------ git rev ------------------------------ *)
 
-(** [git_rev ()] — the checked-out revision, read straight from
-    [.git/HEAD] (no subprocess; "unknown" outside a work tree). *)
+(** [git_rev ()] — the revision of the checkout the running binary was
+    built in, read straight from [.git/HEAD] (no subprocess). The
+    search starts from the binary's directory, not the cwd: a dune build
+    puts it inside the checkout ([_build/default/bin/],
+    [.bench_build/dune/default/perfbench/]), while the cwd can be any
+    other checkout or none. "unknown" for a binary outside a work
+    tree. *)
 let git_rev () =
   let read_line path =
     try
@@ -86,7 +91,12 @@ let git_rev () =
       let parent = Filename.dirname dir in
       if parent = dir then None else find_git parent (depth + 1)
   in
-  match find_git (Sys.getcwd ()) 0 with
+  let exe = Sys.executable_name in
+  let exe =
+    if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe
+    else exe
+  in
+  match find_git (Filename.dirname exe) 0 with
   | None -> "unknown"
   | Some git -> (
     match read_line (Filename.concat git "HEAD") with

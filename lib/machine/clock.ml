@@ -41,9 +41,10 @@ type t = {
   mutable next_at : int;
       (** [at] of the earliest live event, [max_int] when none — may
           transiently under-report after a root cancellation, which only
-          costs callers a spurious {!run_due} (it fires nothing). The
-          guard of {!advance}, inlined into both execution loops, reads
-          it once per retired instruction. *)
+          costs callers a spurious {!run_due} (it fires nothing), or a
+          core an early settle. The guard of {!advance} reads it, and a
+          core reads it to bound the cycles it may leave owed
+          ({!Core.charge}). *)
 }
 
 let dummy = { at = 0; seq = -1; fn = ignore; live = false }

@@ -11,7 +11,10 @@
     engine on the M3, call {!retire} once per instruction and {!load} /
     {!store} once per data access, so a core's cycle accounting lives in
     this module alone. The release build inlines these calls into the
-    loops.
+    loops. Inside a loop a core applies its charges in batches: a run of
+    instructions that cannot reach the next event or the loop's
+    deadline advances the clock once, with the totals and the event
+    instants of charging each instruction on its own.
 
     Busy/idle picosecond totals per core are what Figure 5a plots and the
     energy model integrates. *)
@@ -38,54 +41,137 @@ type t = {
   mutable cpi_acc : int;  (** accumulator for the fractional CPI *)
   mutable frac_ps : int;  (** sub-ns remainder not yet pushed to the clock *)
   mutable busy_cycles : int;
-  mutable busy_ps : int;
   mutable idle_ps : int;
   mutable instructions : int;
   mutable stall_cycles : int;
       (** cycles lost to cache-miss / uncached-IO stalls, a subset of
           [busy_cycles]; the span tracer's attribution ledger reads it *)
+  mutable owed : int;
+      (** cycles charged but not yet applied to [busy_cycles],
+          [frac_ps] and the clock *)
+  mutable room : int;
+      (** the most cycles that may stay owed: applying [room] cycles
+          keeps the clock below both [limit] and the next pending
+          event. [-1] makes every charge apply at once. *)
+  mutable limit : int;
+      (** the running loop's deadline; [min_int] when no loop runs *)
 }
 
 let create ~clock ~cache p =
   { p; clock; cache; ps_per_cycle = 1_000_000 / p.freq_mhz; cpi_acc = 0;
-    frac_ps = 0;
-    busy_cycles = 0; busy_ps = 0; idle_ps = 0; instructions = 0;
-    stall_cycles = 0 }
+    frac_ps = 0; busy_cycles = 0; idle_ps = 0; instructions = 0;
+    stall_cycles = 0; owed = 0; room = -1; limit = min_int }
 
-(** [charge t cycles] books [cycles] of busy execution and advances the
-    platform clock (firing any due events). *)
-let charge t cycles =
+(* Deferred accounting. Applying [n] cycles at once books exactly what
+   [n] one-cycle charges book: [busy_cycles] is a sum, and the clock
+   and [frac_ps] are the quotient and remainder of the picosecond total
+   by 1000. So the only thing per-charge application decides is when
+   events fire, and an event is due only once the clock reaches
+   [next_at]. A charge therefore adds to [owed] and applies it only
+   when [owed] exceeds [room]: the charge that crosses the next event
+   or the loop's deadline applies everything, at the very charge where
+   per-charge application would have crossed it, and fires what is
+   due. Below [room], applying owed cycles can fire nothing, so code
+   that reads this core's counters or its clock applies them first
+   ({!settle}), and code that can arm an event, move the clock or
+   charge on its own runs with [room = -1] ({!enter} [min_int]). *)
+
+(* cycles booked into the counters; returns the ns to advance by *)
+let apply t cycles =
   t.busy_cycles <- t.busy_cycles + cycles;
-  let dps = cycles * t.ps_per_cycle in
-  let ps = dps + t.frac_ps in
-  t.busy_ps <- t.busy_ps + dps;
+  let ps = (cycles * t.ps_per_cycle) + t.frac_ps in
   (* ps/1000 by reciprocal multiplication — exact for 0 <= ps < 2^32
      (the 56-ulp error of 274877907 ~= 2^38/1000 stays below 1/1000
-     there); this runs once per retired instruction, where the idiv
-     pair it replaces was a measurable share of the accounting cost *)
+     there) *)
   let q =
     if ps < 0x1_0000_0000 then (ps * 274877907) asr 38 else ps / 1000
   in
   t.frac_ps <- ps - (q * 1000);
-  Clock.advance t.clock q
+  q
 
-(** [charge_stall t stall] — fast path for charging a cache-access
-    result: on a hit ([stall = 0]) it skips the zero-cycle bookkeeping
-    and only fires platform events that are already due, which is
-    exactly what [charge t 0] does: busy counters gain 0, the sub-cycle
-    remainder is unchanged, and what is left is [Clock.advance 0], whose
-    [next_at <= now] guard enters the event queue only when an event is
-    due. Cycle-identical to [charge t stall], cheaper on the hot hit
-    path. *)
+(* the longest gap [room] spans, in ns; past it, [room] is capped,
+   which only settles earlier *)
+let max_gap = 1 lsl 31
+
+(* [room] from the settled clock: the most cycles [c] with
+   [now + (frac_ps + c * ps_per_cycle) / 1000 < min limit next_at] *)
+let refresh t =
+  let clock = t.clock in
+  let next = clock.Clock.next_at in
+  let lim = if next < t.limit then next else t.limit in
+  let now = clock.Clock.now in
+  t.room <-
+    (if lim <= now then -1
+     else
+       let gap = if lim - now > max_gap then max_gap else lim - now in
+       ((gap * 1000) - t.frac_ps - 1) / t.ps_per_cycle)
+
+(* apply every owed cycle, advance the clock (firing due events) and
+   recompute [room]; a charge from an event handler applies at once *)
+let flush t =
+  let o = t.owed in
+  t.owed <- 0;
+  t.room <- -1;
+  Clock.advance t.clock (apply t o);
+  refresh t
+
+(** [charge t cycles] books [cycles] of busy execution. Inside a run
+    loop they stay owed until they would reach the next event or the
+    loop's deadline; then they are applied with the owed ones and the
+    clock advances, firing due events. Elsewhere they apply at once. *)
+let charge t cycles =
+  let o = t.owed + cycles in
+  t.owed <- o;
+  if o > t.room then flush t
+
+(** [settle t] applies the owed cycles without firing anything: since
+    they stay within [room], no event falls due. Called by whatever
+    reads this core's counters or clock mid-run (the recorder's time
+    hook, the gauges). *)
+let settle t =
+  let o = t.owed in
+  if o <> 0 then begin
+    t.owed <- 0;
+    t.room <- t.room - o;
+    let clock = t.clock in
+    clock.Clock.now <- clock.Clock.now + apply t o
+  end
+
+(** [enter t limit] settles and lets charges defer up to absolute time
+    [limit] (and the next event); returns the limit {!leave} restores.
+    A run loop enters with its deadline, and leaves on every exit,
+    exceptions included. Code inside a loop that reads or moves time,
+    arms events or charges on its own (MMIO, callbacks, WFI) runs
+    between [enter t min_int] and {!leave}, where every charge applies
+    at once. *)
+let enter t limit =
+  settle t;
+  let outer = t.limit in
+  t.limit <- limit;
+  refresh t;
+  outer
+
+(** [leave t outer] — settle, restore the [outer] limit and recompute
+    [room] for it: events armed meanwhile bound it. *)
+let leave t outer =
+  settle t;
+  t.limit <- outer;
+  refresh t
+
+(** [charge_stall t stall] — charge a cache-access result, counting a
+    non-zero [stall] as stall cycles. A hit is [charge t 0]: it applies
+    the owed cycles only when an event is already due, that is when
+    [room < 0], since owed cycles otherwise stay within [room]. *)
 let charge_stall t stall =
   if stall <> 0 then begin
     t.stall_cycles <- t.stall_cycles + stall;
     charge t stall
   end
-  else Clock.advance t.clock 0
+  else if t.room < 0 then flush t
 
 (** [set_clock t clock] — retarget the core's time charges (lockstep
-    lane attach/detach; the sequential scheduler never calls it). *)
+    lane attach/detach, outside any run loop, so nothing is owed; the
+    sequential scheduler never calls it). *)
 let set_clock t clock = t.clock <- clock
 
 (** [idle_until t ~limit] models WFI: sleep to the next event on the
@@ -93,7 +179,9 @@ let set_clock t clock = t.clock <- clock
     boundary, or [max_int] for none), and book the gap as idle. A gap
     taken in pieces books the same idle total as in one, so a sliced
     run charges the sequential run's busy/idle split. Returns [false],
-    with time unmoved, when no event is pending. *)
+    with time unmoved, when no event is pending. Called with nothing
+    owed: outside a run loop, or inside one between [enter t min_int]
+    and {!leave}. *)
 let idle_until t ~limit =
   match Clock.skip_to_next_event t.clock ~limit with
   | None -> false
@@ -140,7 +228,8 @@ let trace_access rc ~tcore kind addr stall =
 (** [load t mem rc ~tcore addr nbytes] — a data load by this core. RAM
     goes through the cache: its stall is charged and the read traced
     with it, as core [tcore]. Anything else is MMIO and pays the core's
-    uncached penalty. *)
+    uncached penalty; the device sees settled time, and [room] is
+    recomputed after it, since it may arm an event. *)
 let load t mem rc ~tcore addr nbytes =
   if Mem.in_ram mem addr then begin
     let stall = Cache.access t.cache ~write:false addr in
@@ -151,8 +240,11 @@ let load t mem rc ~tcore addr nbytes =
   end
   else begin
     charge t t.p.mmio_penalty;
+    let outer = enter t min_int in
     trace_access rc ~tcore Tk_stats.Trace.ev_read addr t.p.mmio_penalty;
-    Mem.read mem addr nbytes
+    let v = Mem.read mem addr nbytes in
+    leave t outer;
+    v
   end
 
 (** [store t mem rc ~tcore addr nbytes v] — a data store, charged and
@@ -168,18 +260,25 @@ let store t mem rc ~tcore addr nbytes v =
   end
   else begin
     charge t t.p.mmio_penalty;
+    let outer = enter t min_int in
     trace_access rc ~tcore Tk_stats.Trace.ev_write addr t.p.mmio_penalty;
     Mem.write mem addr nbytes v;
+    leave t outer;
     false
   end
 
-let busy_ns t = t.busy_ps / 1000
+(** [busy_ps t] — settled busy time in picoseconds. *)
+let busy_ps t =
+  settle t;
+  t.busy_cycles * t.ps_per_cycle
+
+let busy_ns t = busy_ps t / 1000
 let idle_ns t = t.idle_ps / 1000
 
 (** [reset_activity t] zeroes busy/idle/instruction counters (used at
     phase boundaries so each measured phase starts clean). *)
 let reset_activity t =
-  t.busy_cycles <- 0; t.busy_ps <- 0; t.idle_ps <- 0; t.instructions <- 0;
+  t.busy_cycles <- 0; t.idle_ps <- 0; t.instructions <- 0;
   t.stall_cycles <- 0;
   Cache.reset_counters t.cache
 
@@ -195,7 +294,8 @@ type activity = {
 }
 
 let activity t =
-  { a_busy_cycles = t.busy_cycles; a_busy_ps = t.busy_ps;
+  let busy_ps = busy_ps t in
+  { a_busy_cycles = t.busy_cycles; a_busy_ps = busy_ps;
     a_idle_ps = t.idle_ps; a_instructions = t.instructions;
     a_cache_misses = t.cache.Cache.misses;
     a_rd_bytes = t.cache.Cache.rd_bytes; a_wr_bytes = t.cache.Cache.wr_bytes }

@@ -101,9 +101,13 @@ let create ~(soc : Soc.t) () =
       if w1 <> w0 then invalidate_word w1
     end
   in
+  (* WFI and hypercalls read and move time, so owed cycles are applied
+     first and charges inside them apply at once *)
   let wfi _cpu =
+    let outer = Core.enter core min_int in
     if not (Core.idle_until core ~limit:max_int) then
-      raise (Fault "WFI with no pending event: platform deadlock")
+      raise (Fault "WFI with no pending event: platform deadlock");
+    Core.leave core outer
   in
   let irq_ret cpu =
     match t.irq_saved with
@@ -117,7 +121,11 @@ let create ~(soc : Soc.t) () =
   let undef _cpu inst =
     raise (Fault (Printf.sprintf "undefined instruction: %s" (Types.to_string inst)))
   in
-  let svc cpu n = t.on_svc t cpu n in
+  let svc cpu n =
+    let outer = Core.enter core min_int in
+    t.on_svc t cpu n;
+    Core.leave core outer
+  in
   t.env <- { load; store; svc; wfi; irq_ret; undef };
   t
 
@@ -200,20 +208,31 @@ let fuel_exhausted fuel =
     step until the core's clock reaches absolute time [deadline], then
     return normally (the next call resumes at the saved pc — between
     instructions every interpreter state is a resume point). {!Halt}
-    still propagates when the guest finishes inside the slice. *)
+    still propagates when the guest finishes inside the slice. The core
+    defers its charges up to [deadline] ({!Core.enter}), so the loop's
+    clock test is exact: the charge that reaches [deadline] applies. *)
 let run_until t ~deadline ~fuel =
   let n = ref 0 in
   let env = t.env in
   let recording = Tk_stats.Recorder.recording t.rc in
   let sub = t.rc.Tk_stats.Recorder.sub in
-  let clock = t.core.Core.clock in
-  while clock.Clock.now < deadline do
-    if !n >= fuel then raise (fuel_exhausted fuel);
-    incr n;
-    step_env t recording env;
-    if recording && sub.Tk_stats.Substrate.sampling then
-      Tk_stats.Recorder.tick t.rc
-  done
+  let core = t.core in
+  let clock = core.Core.clock in
+  let outer = Core.enter core deadline in
+  match
+    while clock.Clock.now < deadline do
+      if !n >= fuel then raise (fuel_exhausted fuel);
+      incr n;
+      step_env t recording env;
+      if recording && sub.Tk_stats.Substrate.sampling then
+        Tk_stats.Recorder.tick t.rc
+    done
+  with
+  | () -> Core.leave core outer
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Core.leave core outer;
+    Printexc.raise_with_backtrace e bt
 
 (** [run t ~fuel] steps until a hypercall raises {!Halt} (or [fuel]
     instructions elapse, which raises {!Fault} — a runaway guest): the

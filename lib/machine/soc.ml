@@ -140,15 +140,29 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
      busy cycles, instructions and misses, the flight recorder's phase
      probes); higher layers (DBT engine, device drivers) wire their own
      on top. *)
-  let recorder = Tk_stats.Recorder.create ~now:(fun () -> clock.Clock.now) () in
+  (* Whatever reads time or a core's busy counters mid-run applies that
+     core's owed cycles first, quietly: owed cycles never reach an
+     event ({!Core.settle}) *)
+  let recorder =
+    Tk_stats.Recorder.create
+      ~now:(fun () ->
+        if cpu.Core.owed lor m3.Core.owed <> 0 then begin
+          Core.settle cpu;
+          Core.settle m3
+        end;
+        clock.Clock.now)
+      ()
+  in
   let gauge = Tk_stats.Substrate.gauge recorder.Tk_stats.Recorder.sub in
   let sampled = Tk_stats.Substrate.sampler_bit in
   let probed = sampled lor Tk_stats.Substrate.trace_bit in
   let core_gauges prefix core (c : Core.t) =
     let g readers name f = gauge ~core ~readers (prefix ^ name) f in
-    g sampled "_busy_ps" (fun () -> c.Core.busy_ps);
+    g sampled "_busy_ps" (fun () -> Core.busy_ps c);
     g sampled "_idle_ps" (fun () -> c.Core.idle_ps);
-    g probed "_busy_cy" (fun () -> c.Core.busy_cycles);
+    g probed "_busy_cy" (fun () ->
+        Core.settle c;
+        c.Core.busy_cycles);
     g probed "_instrs" (fun () -> c.Core.instructions);
     g sampled "_hits" (fun () -> c.Core.cache.Cache.hits);
     g probed "_miss" (fun () -> c.Core.cache.Cache.misses);
@@ -166,7 +180,7 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
      nondecreasing float keeps it monotone. *)
   let core_energy_nj (c : Core.t) =
     int_of_float
-      (((float_of_int c.Core.busy_ps *. c.Core.p.Core.busy_mw)
+      (((float_of_int (Core.busy_ps c) *. c.Core.p.Core.busy_mw)
        +. (float_of_int c.Core.idle_ps *. c.Core.p.Core.idle_mw))
       /. 1e6)
   in

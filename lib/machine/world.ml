@@ -34,7 +34,6 @@ type core_state = {
   w_cpi_acc : int;
   w_frac_ps : int;
   w_busy_cycles : int;
-  w_busy_ps : int;
   w_idle_ps : int;
   w_instructions : int;
   w_stall_cycles : int;
@@ -105,7 +104,7 @@ type t = {
 
 let capture_core (c : Core.t) =
   { w_cpi_acc = c.Core.cpi_acc; w_frac_ps = c.Core.frac_ps;
-    w_busy_cycles = c.Core.busy_cycles; w_busy_ps = c.Core.busy_ps;
+    w_busy_cycles = c.Core.busy_cycles;
     w_idle_ps = c.Core.idle_ps; w_instructions = c.Core.instructions;
     w_stall_cycles = c.Core.stall_cycles }
 
@@ -113,7 +112,6 @@ let restore_core (c : Core.t) s =
   c.Core.cpi_acc <- s.w_cpi_acc;
   c.Core.frac_ps <- s.w_frac_ps;
   c.Core.busy_cycles <- s.w_busy_cycles;
-  c.Core.busy_ps <- s.w_busy_ps;
   c.Core.idle_ps <- s.w_idle_ps;
   c.Core.instructions <- s.w_instructions;
   c.Core.stall_cycles <- s.w_stall_cycles

@@ -70,8 +70,9 @@ let test_schedule_invariance () =
     (deterministic_part fwd.Fleet.doc)
     (deterministic_part rev.Fleet.doc)
 
-(* the digest is a function of the configuration alone: the checkout's
-   revision, found from the cwd, is recorded only in the host section *)
+(* the digest is a function of the configuration alone, and the host
+   section records the revision the binary was built from: neither
+   moves with the cwd's work tree *)
 let test_cwd_independence () =
   let cfg = { (small Arrival.Poisson) with Fleet.devices = 2 } in
   let inside =
@@ -80,8 +81,11 @@ let test_cwd_independence () =
   let outside = Work_tree.in_temp_dir (fun () -> Fleet.run cfg) in
   Alcotest.(check string) "digest inside = outside a work tree"
     inside.Fleet.digest outside.Fleet.digest;
-  Alcotest.(check bool) "the revision is recorded in host" true
-    Work_tree.(host_git_rev inside.Fleet.doc = Some (J.Str fake_rev))
+  Alcotest.(check bool) "the binary's revision, not the cwd's, in host" true
+    (Work_tree.host_git_rev inside.Fleet.doc
+     = Work_tree.host_git_rev outside.Fleet.doc
+    && Work_tree.host_git_rev inside.Fleet.doc <> None
+    && Work_tree.(host_git_rev inside.Fleet.doc <> Some (J.Str fake_rev)))
 
 let test_arrival_kinds_distinct () =
   (* the three generators must actually produce different work *)

@@ -350,23 +350,31 @@ let test_core_accounting () =
 (* [Core.retire]: a fused partner books its fetch stall and no base CPI,
    an ordinary instruction [instr_cycles + stall]. The M3's fractional
    CPI and a 24-byte stride, which mixes hits and misses, exercise both;
-   a twin core computes each charge by hand. *)
+   a twin core computes each charge by hand. The retires run inside a
+   deferred run, as in the execution loops, so each reading settles the
+   owed cycles first. *)
 let test_core_retire () =
   let soc = Soc.create () in
   let m3 = soc.Soc.m3 and twin = (Soc.create ()).Soc.m3 in
+  let outer = Core.enter m3 max_int in
+  let busy () =
+    Core.settle m3;
+    m3.Core.busy_cycles
+  in
   for k = 0 to 199 do
     let addr = Soc.ram_base + (k * 24) in
     let fused = k mod 3 = 2 in
     let stall = Cache.access twin.Core.cache ~write:false addr in
     let expect = (if fused then 0 else Core.instr_cycles twin) + stall in
-    let busy = m3.Core.busy_cycles and stalls = m3.Core.stall_cycles in
+    let busy0 = busy () and stalls = m3.Core.stall_cycles in
     Core.retire m3 addr ~fused;
     let what =
       Printf.sprintf "%s 0x%x" (if fused then "fused" else "plain") addr
     in
-    checki (what ^ ": busy cycles") expect (m3.Core.busy_cycles - busy);
+    checki (what ^ ": busy cycles") expect (busy () - busy0);
     checki (what ^ ": stall cycles") stall (m3.Core.stall_cycles - stalls)
   done;
+  Core.leave m3 outer;
   checki "every instruction counted" 200 m3.Core.instructions;
   checkb "both fetch outcomes seen" true
     (m3.Core.cache.Cache.hits > 0 && m3.Core.cache.Cache.misses > 0);
@@ -432,6 +440,144 @@ let test_core_data_path () =
       ev Tk_stats.Trace.ev_write (gic + Intc.enable_set_off) mmio;
       ev Tk_stats.Trace.ev_read (gic + Intc.iar_off) mmio ]
     (List.rev !accesses)
+
+(* Deferred accounting is exact. Twin platforms run one random sequence
+   of charges on one core: retires (plain and fused), RAM loads and
+   stores that hit and miss, explicit and taken-branch charges, reads
+   of the CPU timer's counter and of the recorder's time hook (which
+   settle without firing), timer writes that arm an IRQ, and events
+   armed at random times (as a callback would arm them, between
+   [Core.enter c min_int] and [Core.leave]) that log the clock and the
+   core's counters when they fire. One twin runs inside a deferred run
+   bounded by a random deadline; the other applies every charge at
+   once. After each operation both log whether the clock has reached
+   the deadline, the test a run loop makes, and whether the timer IRQ
+   is pending. Logs and final counters must agree exactly. *)
+let fuzz_scale =
+  match Sys.getenv_opt "TK_FUZZ_SCALE" with
+  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
+  | None -> 1
+
+type charge_op =
+  | Retire of int * bool  (** fetch address, fused *)
+  | Load of int
+  | Store of int
+  | Charge of int
+  | Count  (** read the CPU timer's counter (MMIO) *)
+  | Peek  (** read the recorder's time hook, as a sampler tick does *)
+  | Oneshot of int  (** arm the CPU timer's one-shot IRQ, ns from now *)
+  | Event of int  (** arm a logging event, ns from now *)
+
+let gen_charge_ops rs n =
+  let code = ref Soc.kernel_base and data = ref (Soc.ram_base + 0x40000) in
+  List.init n (fun _ ->
+      match Random.State.int rs 100 with
+      | k when k < 50 ->
+        (* straight-line fetches, with a jump now and then *)
+        code :=
+          if Random.State.int rs 16 = 0 then
+            Soc.kernel_base + (4 * Random.State.int rs 0x40000)
+          else !code + 4;
+        Retire (!code, Random.State.int rs 4 = 0)
+      | k when k < 75 ->
+        data :=
+          if Random.State.bool rs then !data + 4
+          else Soc.ram_base + 0x40000 + (4 * Random.State.int rs 0x100000);
+        if k < 65 then Load !data else Store !data
+      | k when k < 85 ->
+        (* taken branches cost 3; other charges are translation- or
+           emulation-sized *)
+        Charge (if Random.State.bool rs then 3 else Random.State.int rs 300)
+      | k when k < 87 -> Count
+      | k when k < 89 -> Peek
+      | k when k < 92 -> Oneshot (Random.State.int rs 3000)
+      | _ -> Event (Random.State.int rs 3000))
+
+type charge_log =
+  | Fired of int * int * int * int * int
+      (** arming op, now, busy cycles, instructions, frac_ps *)
+  | Counter of int * int  (** op, value read *)
+  | Peeked of int * int  (** op, time read *)
+  | Reached of int  (** first op after which now >= deadline *)
+  | Irq of int  (** op after which the timer IRQ was pending *)
+
+let run_charges ~deferred ~m3 ~deadline ops =
+  let soc = Soc.create () in
+  let c = if m3 then soc.Soc.m3 else soc.Soc.cpu in
+  let clock = soc.Soc.clock and mem = soc.Soc.mem and rc = soc.Soc.recorder in
+  let gic = soc.Soc.fabric.Intc.gic in
+  let tcore = Tk_stats.Trace.core_cpu in
+  let log = ref [] and reached = ref false and owed = ref false in
+  let outer = if deferred then Core.enter c deadline else 0 in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Retire (a, fused) -> Core.retire c a ~fused
+      | Load a -> ignore (Core.load c mem rc ~tcore a 4)
+      | Store a -> ignore (Core.store c mem rc ~tcore a 4 i)
+      | Charge n -> Core.charge c n
+      | Count ->
+        log := Counter (i, Core.load c mem rc ~tcore Soc.cpu_timer_base 4) :: !log
+      | Peek ->
+        log := Peeked (i, rc.Tk_stats.Recorder.sub.Tk_stats.Substrate.now ()) :: !log
+      | Oneshot ns ->
+        ignore (Core.store c mem rc ~tcore (Soc.cpu_timer_base + 0x0C) 4 ns)
+      | Event ns ->
+        let o = Core.enter c min_int in
+        let _cancel : unit -> unit =
+          Clock.after clock ns (fun () ->
+              log :=
+                Fired
+                  (i, clock.Clock.now, c.Core.busy_cycles, c.Core.instructions,
+                   c.Core.frac_ps)
+                :: !log)
+        in
+        Core.leave c o);
+      if c.Core.owed > 0 then owed := true;
+      if (not !reached) && clock.Clock.now >= deadline then begin
+        reached := true;
+        log := Reached i :: !log
+      end;
+      if gic.Intc.pending.(Soc.irq_cpu_timer) then begin
+        Intc.clear_pending gic Soc.irq_cpu_timer;
+        log := Irq i :: !log
+      end)
+    ops;
+  if deferred then Core.leave c outer;
+  ( List.rev !log,
+    [ clock.Clock.now; c.Core.frac_ps; c.Core.cpi_acc; c.Core.busy_cycles;
+      c.Core.stall_cycles; c.Core.instructions ],
+    !owed )
+
+let test_deferred_twins () =
+  let sequences = 60 * fuzz_scale in
+  let deferring = ref 0 and reaching = ref 0 in
+  for k = 0 to sequences - 1 do
+    let seed = 0x7d1 + k in
+    let rs = Random.State.make [| seed |] in
+    let m3 = k mod 2 = 1 in
+    let ops = gen_charge_ops rs 1500 in
+    let deadline =
+      match Random.State.int rs 4 with
+      | 0 -> max_int
+      | _ -> 1_000 + Random.State.int rs (if m3 then 200_000 else 60_000)
+    in
+    let log_d, end_d, owed = run_charges ~deferred:true ~m3 ~deadline ops in
+    let log_s, end_s, _ = run_charges ~deferred:false ~m3 ~deadline ops in
+    let what = Printf.sprintf "seed 0x%x (%s)" seed (if m3 then "m3" else "a9") in
+    checkb (what ^ ": same event, counter, deadline and IRQ log") true
+      (log_d = log_s);
+    Alcotest.(check (list int))
+      (what ^ ": now, frac_ps, cpi_acc, busy, stall, instructions") end_s end_d;
+    checkb (what ^ ": events fired") true
+      (List.exists (function Fired _ -> true | _ -> false) log_s);
+    if owed then incr deferring;
+    if List.exists (function Reached _ -> true | _ -> false) log_s then
+      incr reaching
+  done;
+  checki "every sequence deferred some cycles" sequences !deferring;
+  checkb "some sequences reach their deadline, some do not" true
+    (!reaching > 0 && !reaching < sequences)
 
 let test_cpi_model () =
   let soc = Soc.create () in
@@ -608,6 +754,8 @@ let () =
             test_core_accounting;
           Alcotest.test_case "fractional CPI" `Quick test_cpi_model;
           Alcotest.test_case "retire, plain and fused" `Quick test_core_retire;
+          Alcotest.test_case "deferred charges = immediate charges" `Quick
+            test_deferred_twins;
           Alcotest.test_case "load and store, RAM and MMIO" `Quick
             test_core_data_path ] );
       ( "devices",
