@@ -687,13 +687,7 @@ let disasm_cmd symbol =
     let man = Ark_run.build_manifest plat in
     let engine = Tk_dbt.Engine.create ~soc ~mode:Translator.Ark () in
     engine.Tk_dbt.Engine.classify_target <-
-      (fun a ->
-        match man.Transkernel.Manifest.abi_name_of a with
-        | Some n when List.mem n Transkernel.Ark.emulated_services ->
-          Translator.T_emu n
-        | Some n when List.mem n Transkernel.Ark.hooked_services ->
-          Translator.T_hook n
-        | _ -> Translator.T_normal);
+      Transkernel.Ark.classify_target man.Transkernel.Manifest.abi_name_of;
     let h = Tk_dbt.Engine.entry_host engine addr in
     Printf.printf "\nARK translation (first block) @ code cache 0x%x:\n" h;
     let stop = ref false in
@@ -720,20 +714,6 @@ module Abi_check = Tk_analysis.Abi_check
 module Cfg = Tk_analysis.Cfg
 module Certify = Tk_analysis.Certify
 module Absint = Tk_analysis.Absint
-
-(* the same call-target classification ARK installs in the engine
-   (Ark.classify_of_man), rebuilt from the linked image's resolved ABI:
-   the offline certifier must translate exactly what the engine would *)
-let classify_of_built (built : Tk_kernel.Image.built) =
-  let abi = built.Tk_kernel.Image.abi in
-  fun a ->
-    match abi.Tk_kernel.Kabi.name_of_addr a with
-    | Some n when List.mem n Transkernel.Ark.emulated_services ->
-      Translator.T_emu n
-    | Some n when List.mem n Transkernel.Ark.hooked_services ->
-      Translator.T_hook n
-    | Some n when List.mem n Tk_kernel.Kabi.cold -> Translator.T_cold n
-    | Some _ | None -> Translator.T_normal
 
 (* [--image] accepts a kernel version or "all" (the default: the static
    gate must hold on every variant ARK claims to run unmodified) *)
@@ -788,7 +768,10 @@ let analyze_cmd image_sel rules abi cfg certify absint json =
         (* opt-in: differentially executes every formable trace plan *)
         if certify then begin
           let r =
-            Certify.certify_image ~classify_target:(classify_of_built built)
+            Certify.certify_image
+              ~classify_target:
+                (Transkernel.Ark.classify_target
+                   built.Tk_kernel.Image.abi.Tk_kernel.Kabi.name_of_addr)
               image
           in
           Certify.print_report r;

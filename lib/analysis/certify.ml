@@ -393,20 +393,21 @@ let read_guest_of_image (image : Asm.image) a =
   then invalid_arg (Printf.sprintf "guest fetch outside image: 0x%x" a)
   else V7a.decode image.Asm.words.(k)
 
-(** [certify_image ?block_limit ?max_blocks ~classify_target image] —
+(** [certify_image ?block_limit ~classify_target image] —
     enumerate every superblock the planner can form on the pristine
     image and certify each one.
 
     Enumeration mirrors the engine: translation blocks are discovered
     from every CFG leader plus every site-successor (call targets,
     return sites, jump targets), the always-taken-successor map is
-    rebuilt from the blocks' terminals exactly as the engine records it,
-    and chains are walked from every head up to [max_blocks]. Every
+    rebuilt from the blocks' terminals exactly as the engine records it
+    ({!Superblock.successor}), and the engine's walk
+    ({!Superblock.chain}) runs from every head. Every
     chain {e prefix} of length >= 2 is planned and certified — at run
     time the engine forms whatever prefix is translated when the head
     turns hot, so all of them are formable. *)
 let certify_image ?(block_limit = Translator.default_block_limit)
-    ?(max_blocks = 8) ~classify_target (image : Asm.image) : report =
+    ~classify_target (image : Asm.image) : report =
   let read_guest = read_guest_of_image image in
   let cfg = Cfg.build image in
   let ctx =
@@ -428,12 +429,7 @@ let certify_image ?(block_limit = Translator.default_block_limit)
       | exception _ -> Hashtbl.replace visited g false
       | b ->
         Hashtbl.replace visited g true;
-        (match List.rev b.Translator.b_emits with
-        | Translator.E_site
-            (AL, (Translator.S_tail { target } | Translator.S_jump { target }), _)
-          :: _ ->
-          Hashtbl.replace succ g target
-        | _ -> ());
+        Option.iter (Hashtbl.replace succ g) (Superblock.successor b);
         List.iter
           (fun e ->
             match e with
@@ -451,20 +447,6 @@ let certify_image ?(block_limit = Translator.default_block_limit)
     end
   done;
   let translated a = Hashtbl.find_opt visited a = Some true in
-  let chain_of head =
-    let chain = ref [ head ] and len = ref 1 and cur = ref head in
-    (try
-       while !len < max_blocks do
-         match Hashtbl.find_opt succ !cur with
-         | Some next when translated next && not (List.mem next !chain) ->
-           chain := next :: !chain;
-           incr len;
-           cur := next
-         | _ -> raise Exit
-       done
-     with Exit -> ());
-    List.rev !chain
-  in
   let rec take n = function
     | x :: tl when n > 0 -> x :: take (n - 1) tl
     | _ -> []
@@ -479,7 +461,9 @@ let certify_image ?(block_limit = Translator.default_block_limit)
   let findings = ref [] in
   List.iter
     (fun head ->
-      let chain = chain_of head in
+      let chain =
+        Superblock.chain ~succ:(Hashtbl.find_opt succ) ~translated head
+      in
       let len = List.length chain in
       if len >= 2 then begin
         incr chains;

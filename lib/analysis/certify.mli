@@ -61,12 +61,11 @@ val read_guest_of_image : Asm.image -> int -> Types.inst
 
 val certify_image :
   ?block_limit:int ->
-  ?max_blocks:int ->
   classify_target:(int -> Translator.target_class) ->
   Asm.image ->
   report
 (** enumerate every superblock the planner can form on the pristine
-    image — every chain prefix of length >= 2, mirroring the engine's
-    formation walk — and certify each one *)
+    image — every chain prefix of length >= 2 of the engine's formation
+    walk ({!Superblock.chain}) — and certify each one *)
 
 val print_report : report -> unit

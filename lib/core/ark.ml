@@ -139,10 +139,8 @@ let emu_service t name (cpu : Exec.cpu) =
     t.engine.Engine.irq_dispatch <- true
   | "ktime_get" ->
     charge_emu t cost_ktime;
-    (* the M3's own view of time: its core clock — the platform clock,
-       or its private lane inside a lockstep concurrent segment *)
     Engine.set_guest_reg t.engine cpu 0
-      (t.soc.Soc.m3.Core.clock.Clock.now land 0xFFFFFFFF)
+      (t.soc.Soc.clock.Clock.now land 0xFFFFFFFF)
   | "udelay" ->
     (* busy wait, converted to the peripheral core's own timer (§4.6):
        same wall time as native, but at 200 MHz *)
@@ -212,12 +210,11 @@ let hook t name (cpu : Exec.cpu) =
    concurrent domains. *)
 let ctx_slot_first = 8
 
-let classify_of_man (man : Manifest.t) addr =
-  match man.abi_name_of addr with
+let classify_target name_of addr =
+  match name_of addr with
   | Some n when List.mem n emulated_services -> Translator.T_emu n
   | Some n when List.mem n hooked_services -> Translator.T_hook n
-  | Some n when List.mem n [ "warn"; "panic_stop"; "kernel_oom"; "syslog" ] ->
-    Translator.T_cold n
+  | Some n when List.mem n Tk_kernel.Kabi.cold -> Translator.T_cold n
   | Some _ | None -> Translator.T_normal
 
 (* an interrupt ARK would deliver now. O(1): it is polled at every
@@ -241,7 +238,7 @@ let rec create ~(soc : Soc.t) ?(mode = Translator.Ark) ?(superblock = false)
       raise (Ark_error "superblock tier requires the Ark mode");
     engine.Engine.superblock <- true
   end;
-  engine.Engine.classify_target <- classify_of_man man;
+  engine.Engine.classify_target <- classify_target man.Manifest.abi_name_of;
   let t =
     { soc; engine; man; contexts = []; current = None; in_irq = false;
       rr = 0; draining = false; tick_on = false;
@@ -619,23 +616,15 @@ let phase_finish t : outcome =
   | Some (reason, st) -> Fell_back { fb_reason = reason; fb_state = st }
   | None -> Completed
 
-(* nothing to run, no interrupt to deliver and no M3-side event: what
-   [phase_step]'s loop calls blocked, for a call made at its deadline *)
-let stalled t =
-  t.paused = None
-  && (not (List.exists schedulable t.contexts))
-  && (not (irq_deliverable t))
-  && Clock.next_event_time t.soc.Soc.m3.Core.clock = None
-
 (** [phase_step t ~deadline] — the ARK scheduler: dispatch contexts
     (resuming a quantum-paused one first, without recharging the
     scheduler tick) until the M3 clock reaches absolute time [deadline],
     the phase completes or falls back ([`Done]), or nothing is runnable
-    and no M3-side event is pending ([`Blocked]; under the lockstep
-    scheduler a cross-core commit may still wake a context). With no
-    deadline ([max_int]) it is the sequential scheduler; at any other,
-    the dispatch sequence over a whole phase is that one cut at quantum
-    boundaries, which makes [--quantum 1] digest-identical. *)
+    and no event is pending ([`Blocked]: nothing can wake a context, a
+    deadlock). With no deadline ([max_int]) it is the sequential
+    scheduler; at any other, the dispatch sequence over a whole phase is
+    that one cut at quantum boundaries, which makes [--quantum 1]
+    digest-identical. *)
 let phase_step t ~deadline : [ `Runnable | `Blocked | `Done ] =
   let p = primary t in
   let m3 = t.soc.Soc.m3 in
@@ -676,8 +665,7 @@ let phase_step t ~deadline : [ `Runnable | `Blocked | `Done ] =
   done;
   eng.Engine.deadline_ns <- max_int;
   if p.Context.state = Context.Done || t.fell_back <> None then `Done
-  else if !blocked || (m3clock.Clock.now >= deadline && stalled t) then
-    `Blocked
+  else if !blocked then `Blocked
   else `Runnable
 
 (** [run_phase t which] executes one offloaded device phase

@@ -27,6 +27,14 @@ val emulated_services : string list
     translated body execute — deferred work is stateful (§4.3). *)
 val hooked_services : string list
 
+val classify_target :
+  (int -> string option) -> int -> Tk_dbt.Translator.target_class
+(** [classify_target name_of addr] — how ARK translates a call to
+    [addr], given the ABI's reverse lookup [name_of]: an emulated or a
+    hooked service, a cold path ({!Tk_kernel.Kabi.cold}, taken by
+    falling back to the CPU) or a plain call. The engine, [arksim
+    disasm] and the offline certifier all classify with it. *)
+
 (** {1 Costs} (peripheral-core cycles / nanoseconds, reported by the
     §7.3 benches) *)
 
@@ -119,9 +127,8 @@ val phase_step : t -> deadline:int -> [ `Blocked | `Done | `Runnable ]
 (** the ARK scheduler: dispatch contexts until the M3 clock reaches
     absolute time [deadline] ([`Runnable] — call again with a later
     deadline), the phase completes or falls back ([`Done]), or nothing
-    is runnable and no M3-side event is pending ([`Blocked] — only a
-    cross-core commit can make progress), also when called at its
-    deadline. With [deadline = max_int] it is the sequential scheduler;
+    is runnable and no event is pending ([`Blocked] — nothing can make
+    progress). With [deadline = max_int] it is the sequential scheduler;
     at any other, the dispatch sequence over a whole phase is that one
     cut at quantum boundaries, so at [--quantum 1] digests are
     byte-identical to {!run_phase}. *)

@@ -111,7 +111,6 @@ type t = {
           Only meaningful with [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
-  mutable sb_max_blocks : int;  (** max constituent blocks per trace *)
   block_succ : (int, int) Hashtbl.t;
       (** guest block start -> always-taken successor (AL tail/jump
           terminal) — the chain statistics trace formation walks *)
@@ -238,7 +237,7 @@ let rec create ~(soc : Soc.t) ~mode () =
       block_exec = Array.make initial_words 0;
       block_dispatch = Hashtbl.create 1024;
       block_size = Hashtbl.create 1024;
-      superblock = false; sb_threshold = 16; sb_max_blocks = 8;
+      superblock = false; sb_threshold = 16;
       block_succ = Hashtbl.create 1024; formed = Hashtbl.create 64;
       fuse_next = Array.make initial_words false;
       guest_cover =
@@ -442,7 +441,9 @@ and translate_block t gpc =
     t.guest_translated <- t.guest_translated + b.Translator.b_guest_count;
     if t.superblock then begin
       sb_mark_cover t gpc b.Translator.b_guest_count;
-      sb_record_succ t b
+      Option.iter
+        (Hashtbl.replace t.block_succ b.Translator.b_guest_start)
+        (Superblock.successor b)
     end;
     Tk_stats.Recorder.burst_close t.rc ~core
       ~ev:(Tk_stats.Trace.ev_translate, gpc, n) stok;
@@ -456,16 +457,6 @@ and sb_mark_cover t gpc count =
     if Soc.in_kernel_image a then
       Bytes.unsafe_set t.guest_cover ((a - Soc.kernel_base) asr 2) '\001'
   done
-
-(* chain statistics: a block whose terminal is an always-taken direct
-   transfer has a statically-known successor *)
-and sb_record_succ t (b : Translator.block) =
-  match List.rev b.Translator.b_emits with
-  | Translator.E_site
-      (AL, (Translator.S_tail { target } | Translator.S_jump { target }), _)
-    :: _ ->
-    Hashtbl.replace t.block_succ b.Translator.b_guest_start target
-  | _ -> ()
 
 (* Table 4 macro-op idioms over the emitted host stream: compare +
    conditional control, load + dependent ALU, movw + movt. The second
@@ -532,26 +523,12 @@ and flush_cache t =
 
 (* ----------------------- superblock formation ----------------------- *)
 
-(* walk the always-taken chain from [head] through already-translated,
-   distinct blocks *)
-and sb_chain_of t head =
-  let chain = ref [ head ] and len = ref 1 in
-  let cur = ref head in
-  (try
-     while !len < t.sb_max_blocks do
-       match Hashtbl.find_opt t.block_succ !cur with
-       | Some next
-         when Hashtbl.mem t.block_map next && not (List.mem next !chain) ->
-         chain := next :: !chain;
-         incr len;
-         cur := next
-       | _ -> raise Exit
-     done
-   with Exit -> ());
-  List.rev !chain
-
 and sb_try_form t head =
-  let chain = sb_chain_of t head in
+  let chain =
+    Superblock.chain
+      ~succ:(Hashtbl.find_opt t.block_succ)
+      ~translated:(Hashtbl.mem t.block_map) head
+  in
   if List.length chain >= 2 then begin
     let certified p =
       match t.sb_certify with
@@ -808,7 +785,7 @@ let set_guest_reg t (cpu : Exec.cpu) i v =
 
    Inside a formed trace there are no block starts, so interior
    boundaries pay no probe, no dispatch and no IRQ window — interrupt
-   latency is bounded by the trace length (sb_max_blocks * block_limit
+   latency is bounded by the trace length (Superblock.max_blocks * block_limit
    guest instructions). *)
 let run_loop t (cpu : Exec.cpu) ~fuel =
   let m3 = t.soc.Soc.m3 in

@@ -100,7 +100,6 @@ type t = {
           one run loop. Only meaningful with [mode = Ark]. *)
   mutable sb_threshold : int;
       (** block executions before its chain is considered for formation *)
-  mutable sb_max_blocks : int;  (** max constituent blocks per trace *)
   block_succ : (int, int) Hashtbl.t;
       (** guest block start -> always-taken successor *)
   formed : (int, unit) Hashtbl.t;

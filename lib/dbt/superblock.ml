@@ -40,6 +40,31 @@ type plan = {
   p_emits : Translator.emit list;  (** the woven trace body *)
 }
 
+(* ------------------------- chain formation --------------------------- *)
+
+let max_blocks = 8
+
+(* a block whose terminal is an always-taken direct transfer has a
+   statically-known successor *)
+let successor (b : Translator.block) =
+  match List.rev b.Translator.b_emits with
+  | Translator.E_site
+      (AL, (Translator.S_tail { target } | Translator.S_jump { target }), _)
+    :: _ ->
+    Some target
+  | _ -> None
+
+let chain ~succ ~translated head =
+  let rec walk acc cur len =
+    if len >= max_blocks then List.rev acc
+    else
+      match succ cur with
+      | Some next when translated next && not (List.mem next acc) ->
+        walk (next :: acc) next (len + 1)
+      | _ -> List.rev acc
+  in
+  walk [ head ] head 1
+
 (* ------------------- r10-in-r12 caching sequences -------------------- *)
 
 (* Both sequences are unconditional, flag-transparent, and clobber only

@@ -20,6 +20,21 @@ type plan = {
   p_emits : Translator.emit list;  (** the woven trace body *)
 }
 
+val max_blocks : int
+(** the most constituent blocks in one trace *)
+
+val successor : Translator.block -> int option
+(** the block's statically-known successor: the target of its terminal
+    when that is an always-taken direct jump or fallthrough tail *)
+
+val chain :
+  succ:(int -> int option) -> translated:(int -> bool) -> int -> int list
+(** [chain ~succ ~translated head] — the chain to form at [head], head
+    first: follow [succ] (the {!successor}s recorded so far) through
+    translated, distinct blocks, up to {!max_blocks}. The engine walks
+    it over the blocks it has translated, the offline certifier over
+    every block of the image. *)
+
 val resumable : Translator.site_info -> bool
 (** does execution re-enter the trace right after this site? (calls,
     emulated services, hooks, guest hypercalls, skippable fallback);

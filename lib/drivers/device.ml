@@ -93,7 +93,7 @@ let cmd t v =
     (* power off after the hardware transition latency *)
     t.busy <- true;
     ramp_begin t;
-    Clock.after_ t.soc.Soc.sched_clock t.suspend_ns (fun () ->
+    Clock.after_ t.soc.Soc.clock t.suspend_ns (fun () ->
         finish_power t false)
   | 2 ->
     t.busy <- true;
@@ -104,7 +104,7 @@ let cmd t v =
     end
     else begin
       ramp_begin t;
-      Clock.after_ t.soc.Soc.sched_clock t.resume_ns (fun () ->
+      Clock.after_ t.soc.Soc.clock t.resume_ns (fun () ->
           finish_power t true)
     end
   | 3 ->
@@ -113,7 +113,7 @@ let cmd t v =
     t.error <- false
   | 4 ->
     t.busy <- true;
-    Clock.after_ t.soc.Soc.sched_clock t.cfg_ns (fun () ->
+    Clock.after_ t.soc.Soc.clock t.cfg_ns (fun () ->
         t.busy <- false;
         t.cmd_done <- true;
         raise_irq t)
@@ -123,7 +123,7 @@ let dma_start t dir =
   if t.dma_len > 0 then begin
     t.dma_busy <- true;
     let ns = max 2_000 (t.dma_len * t.dma_ns_per_kb / 1024) in
-    Clock.after_ t.soc.Soc.sched_clock ns (fun () ->
+    Clock.after_ t.soc.Soc.clock ns (fun () ->
         let mem = t.soc.Soc.mem in
         (match dir with
         | 1 -> ignore (Mem.dma_read mem t.dma_src t.dma_len)
@@ -142,7 +142,7 @@ let fifo_write t w =
     t.fifo_busy <- true;
     t.fifo_count <- 0;
     (* firmware boot time *)
-    Clock.after_ t.soc.Soc.sched_clock 30_000 (fun () ->
+    Clock.after_ t.soc.Soc.clock 30_000 (fun () ->
         t.fifo_busy <- false;
         t.cmd_done <- true;
         raise_irq t)

@@ -36,7 +36,9 @@ type t = {
           byte-identical to sequential — larger quanta only batch the
           slicing, they never change architectural results. *)
   mutable ls_rounds : int;  (** lockstep rounds driven (cumulative) *)
-  mutable ls_commits : int;  (** barrier commits applied (cumulative) *)
+  mutable ls_commits : int;
+      (** M3 phase marks the recorder applied at lockstep barriers
+          (cumulative; none while every recorder is off) *)
   mutable ls_max_skew_ns : int;
       (** widest cross-lane clock gap seen at any barrier *)
 }
@@ -108,11 +110,11 @@ let create ?layout ?built ?devices ?(mode = Translator.Ark)
     (fun n cpu ->
       if n = Hyper.phase_mark then begin
         let code = Tk_dbt.Engine.guest_reg ark.Ark.engine cpu 0 in
-        (* M3-side marks read the M3's own clock: the platform clock,
-           or its private lane inside a lockstep concurrent segment *)
+        (* M3-side marks read the M3's clock, the platform clock, also
+           inside a lockstep concurrent segment *)
         t.events <-
           { ev_code = code;
-            ev_time_ns = plat.soc.Soc.m3.Core.clock.Clock.now;
+            ev_time_ns = plat.soc.Soc.clock.Clock.now;
             ev_m3 = Core.activity plat.soc.Soc.m3 }
           :: t.events;
         Tk_stats.Recorder.phase plat.soc.Soc.recorder code
@@ -145,7 +147,6 @@ let receive_fallback t (st : Ark.guest_state) =
 (* fold one lockstep run's stats into the cumulative [ls_*] fields *)
 let add_lockstep_stats t (st : Lockstep.stats) =
   t.ls_rounds <- t.ls_rounds + st.Lockstep.rounds;
-  t.ls_commits <- t.ls_commits + st.Lockstep.commits;
   t.ls_max_skew_ns <- max t.ls_max_skew_ns st.Lockstep.max_skew_ns
 
 (* [offload_phase t which] — run one offloaded phase under the
@@ -248,17 +249,15 @@ let workload_base = Soc.code_cache_base + Soc.code_cache_size
    IRQ-masked [memset] over scratch DRAM), under the bounded-quantum
    lockstep scheduler:
 
-   - the M3 gets a private clock lane (events already armed for devices
-     move with it — devices are M3-owned during the segment, via
-     [Soc.sched_clock]);
-   - the A9 keeps the platform clock and runs with IRQs masked: no MMIO,
-     no events, no shared guest state (it only touches the scratch and
-     the boot thread's own stack);
+   - the A9 gets a private clock lane. Its workload arms no event and
+     touches no device: no MMIO, no shared guest state (it only touches
+     the scratch and the boot thread's own stack);
+   - the M3, the devices and every pending event stay on the platform
+     clock, so no effect crosses between the lanes;
    - the recorder is paused for the lanes, its writes done at the
      barriers (see [Tk_stats.Recorder]);
-   - at the end the lane merges back into the platform clock preserving
-     the global (at, seq) event order, and the platform returns to the
-     sequential single-clock regime. *)
+   - at the end the platform clock advances to the later lane time and
+     the A9 returns to it. *)
 let concurrent_phase t which ~workload_bytes : Ark.outcome =
   let soc = (plat t).soc in
   let nat = t.nat in
@@ -267,19 +266,9 @@ let concurrent_phase t which ~workload_bytes : Ark.outcome =
      translation charges M3 time, and both lanes must observe it before
      they split (Lockstep.create requires a common start time) *)
   Ark.phase_begin t.ark which;
-  (* split the M3 lane and move the pending events (device completions,
-     traffic arrivals, the scheduler tick just armed) onto it: during
-     the segment the devices complete in M3 time *)
   let main = soc.Soc.clock in
   let lane = Clock.lane main in
-  let evs = Clock.pending main in
-  Clock.restore_pending main ~now:main.Clock.now
-    ~seq:(Clock.seq_value main) [];
-  Clock.restore_pending lane ~now:lane.Clock.now
-    ~seq:(Clock.seq_value lane) evs;
-  Core.set_clock soc.Soc.m3 lane;
-  Timer.set_clock soc.Soc.m3_timer lane;
-  soc.Soc.sched_clock <- lane;
+  Core.set_clock soc.Soc.cpu lane;
   (* A9 workload: staged, IRQ-masked, pure CPU + scratch DRAM, on the
      boot thread's stack. After a fallback the A9's SP still points into
      the migrated DBT context's stack slot, which the M3 reuses *)
@@ -290,7 +279,7 @@ let concurrent_phase t which ~workload_bytes : Ark.outcome =
   Native_run.start_call nat "memset" [ workload_base; 0x5A; workload_bytes ];
   let a9_done = ref false in
   let a9 =
-    { Lockstep.l_name = "a9"; l_clock = main;
+    { Lockstep.l_name = "a9"; l_clock = lane;
       l_run =
         (fun ~deadline ->
           if !a9_done then `Done
@@ -302,34 +291,31 @@ let concurrent_phase t which ~workload_bytes : Ark.outcome =
             | `Runnable -> `Runnable) }
   in
   let m3 =
-    { Lockstep.l_name = "m3"; l_clock = lane;
+    { Lockstep.l_name = "m3"; l_clock = main;
       l_run = (fun ~deadline -> Ark.phase_step t.ark ~deadline) }
   in
   Fun.protect
     ~finally:(fun () ->
-      (* back to the single-clock regime whatever happened: merge the
-         lane's remaining events into the platform clock (global
-         (at, seq) order preserved), restore the pointers and the A9's
-         interrupt mask and SP *)
+      (* back to the single-clock regime whatever happened: the A9
+         rejoins the platform clock at the later lane time, with its
+         interrupt mask and SP restored *)
       Lockstep.merge_lane ~into:main lane;
-      Core.set_clock soc.Soc.m3 main;
-      Timer.set_clock soc.Soc.m3_timer main;
-      soc.Soc.sched_clock <- main;
+      Core.set_clock soc.Soc.cpu main;
       cpu.Exec.irq_on <- irq_was;
       cpu.Exec.r.(Types.sp) <- sp_was;
       t.ark.Ark.tick_on <- false)
     (fun () ->
       let ls = Lockstep.create ~quantum [ a9; m3 ] in
       let rc = soc.Soc.recorder in
-      (* the M3 is lane 1: its phase marks post to the next barrier *)
-      Tk_stats.Recorder.pause rc
-        (Some (Tk_stats.Trace.core_m3, Lockstep.post ls ~lane:1));
+      (* the recorder holds the M3's phase marks for the barriers *)
+      Tk_stats.Recorder.pause rc (Some Tk_stats.Trace.core_m3);
       let st =
         Fun.protect
           ~finally:(fun () -> Tk_stats.Recorder.pause rc None)
           (fun () ->
             Lockstep.run
-              ~on_barrier:(fun () -> Tk_stats.Recorder.barrier rc)
+              ~on_barrier:(fun () ->
+                t.ls_commits <- t.ls_commits + Tk_stats.Recorder.barrier rc)
               ls)
       in
       add_lockstep_stats t st;

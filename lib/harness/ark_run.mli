@@ -22,7 +22,9 @@ type t = {
           the same architectural results; at [1] digests are CI-gated
           byte-identical to sequential. *)
   mutable ls_rounds : int;  (** lockstep rounds driven (cumulative) *)
-  mutable ls_commits : int;  (** barrier commits applied (cumulative) *)
+  mutable ls_commits : int;
+      (** M3 phase marks the recorder applied at lockstep barriers
+          (cumulative; none while every recorder is off) *)
   mutable ls_max_skew_ns : int;
       (** widest cross-lane clock gap seen at any barrier *)
 }
@@ -83,7 +85,8 @@ val concurrent_cycle :
     [memset]) riding on the A9 {e concurrently} with each, under the
     bounded-quantum lockstep scheduler (quantum from [t.quantum],
     default 20 us when unset). The two cores run in one deterministic
-    interleave on the calling thread.
+    interleave on the calling thread: the A9 on a private clock lane,
+    the M3 and every device on the platform clock.
 
     [domains] is vestigial: it once ran the cores on separate host
     domains, a driver deleted because it was slower than the

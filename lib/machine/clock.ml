@@ -1,13 +1,11 @@
 (** Simulated platform time and event queues.
 
-    One nanosecond clock per simulated platform — or, under the
-    bounded-quantum lockstep scheduler, one {e lane} per core split from
-    the platform clock with {!lane}. The currently executing core
-    advances its clock as it retires instructions; device-side activity
-    (power-state transitions completing, DMA finishing, timer expiry) is
-    scheduled as absolute-time events. When the core idles (WFI), time
-    fast-forwards to the next event — that is exactly how the busy/idle
-    split of Figure 5a arises.
+    One nanosecond clock per simulated platform. The currently executing
+    core advances its clock as it retires instructions; device-side
+    activity (power-state transitions completing, DMA finishing, timer
+    expiry) is scheduled as absolute-time events. When the core idles
+    (WFI), time fast-forwards to the next event — that is exactly how
+    the busy/idle split of Figure 5a arises.
 
     The pending queue is a binary min-heap keyed by [(at, seq)] — [seq]
     is a monotone insertion counter, so same-instant events still fire
@@ -17,11 +15,10 @@
     seed's were O(n) — fleet worlds carry dozens of armed timers and
     device completions, where the quadratic list walk was measurable.
 
-    Lanes split from one platform clock {e share} the [seq] counter (by
-    reference): the global [(at, seq)] order over both lanes' events is
-    therefore total and identical to what a single merged queue would
-    produce, which is what makes {!Lockstep.merge_lane} replay the
-    sequential order and quantum=1 digest-identical. *)
+    Every event lives on the platform clock. The lockstep scheduler
+    gives a core with no events of its own (the concurrent A9 workload)
+    a private time line with {!lane}; that lane never holds an event
+    ({!Lockstep.merge_lane} refuses one). *)
 
 type event = {
   at : int;
@@ -34,10 +31,7 @@ type t = {
   mutable now : int;  (** ns since simulation start *)
   mutable heap : event array;  (** min-heap by (at, seq); [size] slots used *)
   mutable size : int;
-  seq : int ref;
-      (** the insertion counter, shared by every lane split from one
-          platform clock so their tie-breakers are unique and totally
-          ordered *)
+  mutable seq : int;  (** the insertion counter *)
   mutable next_at : int;
       (** [at] of the earliest live event, [max_int] when none — may
           transiently under-report after a root cancellation, which only
@@ -50,16 +44,12 @@ type t = {
 let dummy = { at = 0; seq = -1; fn = ignore; live = false }
 
 let create () =
-  { now = 0; heap = Array.make 8 dummy; size = 0; seq = ref 0;
-    next_at = max_int }
+  { now = 0; heap = Array.make 8 dummy; size = 0; seq = 0; next_at = max_int }
 
-(** [lane t] — a fresh empty queue at [t]'s current time sharing [t]'s
-    [seq] counter, so events scheduled on either keep a total global
-    (at, seq) order. Used by the lockstep scheduler to give the M3 a
-    private per-core queue. *)
-let lane t =
-  { now = t.now; heap = Array.make 8 dummy; size = 0; seq = t.seq;
-    next_at = max_int }
+(** [lane t] — a fresh empty queue at [t]'s current time: a private
+    time line for a core that arms no events (the lockstep scheduler's
+    A9 lane). *)
+let lane t = { (create ()) with now = t.now }
 
 (* ------------------------------ heap ------------------------------ *)
 
@@ -135,8 +125,8 @@ let rec purge t =
 (** [at t ns fn] schedules [fn] to run at absolute time [ns] (clamped to
     now). Returns a cancel function. *)
 let at t ns fn =
-  let seq = !(t.seq) in
-  t.seq := seq + 1;
+  let seq = t.seq in
+  t.seq <- seq + 1;
   let ev = { at = max ns t.now; seq; fn; live = true } in
   push t ev;
   fun () ->
@@ -204,7 +194,7 @@ let skip_to_next_event t ~limit =
     counter position and the live pending events in (at, seq) order.
     The returned records are fresh copies, so cancellations that happen
     after the capture cannot reach into the snapshot. *)
-let seq_value t = !(t.seq)
+let seq_value t = t.seq
 
 let pending t =
   let live = ref [] in
@@ -223,7 +213,7 @@ let pending t =
     stopped/re-armed around a World restore, so none survive. *)
 let restore_pending t ~now ~seq evs =
   t.now <- now;
-  t.seq := seq;
+  t.seq <- seq;
   t.size <- 0;
   Array.fill t.heap 0 (Array.length t.heap) dummy;
   t.next_at <- max_int;

@@ -2,8 +2,8 @@
 
     A core charges cycles for every retired instruction (plus cache-miss
     stalls and uncached-IO penalties) and advances its clock
-    accordingly: the platform clock, or a private lane while the
-    lockstep scheduler runs both cores in one concurrent segment. WFI
+    accordingly: the platform clock, or, for the A9 inside a lockstep
+    concurrent segment, a private lane that holds no events. WFI
     fast-forwards to the next event on that clock and books the gap as
     idle.
 
@@ -34,8 +34,8 @@ type params = {
 type t = {
   p : params;
   mutable clock : Clock.t;
-      (** the clock this core advances — the platform clock, or a
-          private lane under the bounded-quantum lockstep scheduler *)
+      (** the clock this core advances — the platform clock, or the
+          A9's private lane inside a lockstep concurrent segment *)
   cache : Cache.t;
   ps_per_cycle : int;
   mutable cpi_acc : int;  (** accumulator for the fractional CPI *)
@@ -169,9 +169,10 @@ let charge_stall t stall =
   end
   else if t.room < 0 then flush t
 
-(** [set_clock t clock] — retarget the core's time charges (lockstep
-    lane attach/detach, outside any run loop, so nothing is owed; the
-    sequential scheduler never calls it). *)
+(** [set_clock t clock] — retarget the core's time charges: the A9
+    moves onto its private lane for a lockstep concurrent segment and
+    back, outside any run loop, so nothing is owed. The M3 and the
+    sequential scheduler never call it. *)
 let set_clock t clock = t.clock <- clock
 
 (** [idle_until t ~limit] models WFI: sleep to the next event on the
@@ -242,7 +243,7 @@ let load t mem rc ~tcore addr nbytes =
     charge t t.p.mmio_penalty;
     let outer = enter t min_int in
     trace_access rc ~tcore Tk_stats.Trace.ev_read addr t.p.mmio_penalty;
-    let v = Mem.read mem addr nbytes in
+    let v = Mem.mmio_read addr nbytes mem.Mem.regions in
     leave t outer;
     v
   end
@@ -262,7 +263,7 @@ let store t mem rc ~tcore addr nbytes v =
     charge t t.p.mmio_penalty;
     let outer = enter t min_int in
     trace_access rc ~tcore Tk_stats.Trace.ev_write addr t.p.mmio_penalty;
-    Mem.write mem addr nbytes v;
+    Mem.mmio_write addr nbytes v mem.Mem.regions;
     leave t outer;
     false
   end

@@ -101,8 +101,7 @@ let add_region t r = t.regions <- r :: t.regions
 
 let in_ram t addr = addr >= t.ram_base && addr < t.ram_base + t.ram_size
 
-let find_region t addr =
-  List.find_opt (fun r -> addr >= r.rbase && addr < r.rbase + r.rsize) t.regions
+let claims r addr = addr >= r.rbase && addr < r.rbase + r.rsize
 
 (* Raw RAM accessors, little-endian. Each takes the in-page fast path
    when the access fits in one page. The page lookup is bounds-checked,
@@ -186,22 +185,31 @@ let ram_write t addr nbytes v =
   | 4 -> ram_write32 t addr v
   | n -> invalid_arg (Printf.sprintf "ram_write size %d" n)
 
+(** [mmio_read addr nbytes regions] / [mmio_write addr nbytes v regions]
+    — a device access outside RAM, dispatched to the first region of
+    [regions] that claims [addr], which is the one registered last. A
+    plain walk of the list, so a device access allocates nothing.
+    @raise Bus_fault on unclaimed addresses. *)
+let rec mmio_read addr nbytes = function
+  | r :: _ when claims r addr -> r.rread (addr - r.rbase) nbytes land 0xFFFFFFFF
+  | _ :: rest -> mmio_read addr nbytes rest
+  | [] -> raise (Bus_fault { addr; write = false })
+
+let rec mmio_write addr nbytes v = function
+  | r :: _ when claims r addr -> r.rwrite (addr - r.rbase) nbytes v
+  | _ :: rest -> mmio_write addr nbytes v rest
+  | [] -> raise (Bus_fault { addr; write = true })
+
 (** [read t addr nbytes] — core- or DBT-initiated read; RAM or MMIO.
     @raise Bus_fault on unclaimed addresses. *)
 let read t addr nbytes =
   if in_ram t addr then ram_read t addr nbytes
-  else
-    match find_region t addr with
-    | Some r -> r.rread (addr - r.rbase) nbytes land 0xFFFFFFFF
-    | None -> raise (Bus_fault { addr; write = false })
+  else mmio_read addr nbytes t.regions
 
 (** [write t addr nbytes v] — core- or DBT-initiated write. *)
 let write t addr nbytes v =
   if in_ram t addr then ram_write t addr nbytes v
-  else
-    match find_region t addr with
-    | Some r -> r.rwrite (addr - r.rbase) nbytes v
-    | None -> raise (Bus_fault { addr; write = true })
+  else mmio_write addr nbytes v t.regions
 
 (** [dma_read t addr n] models a device reading [n] bytes from DRAM
     (counted as DRAM traffic, bypassing core caches). Returns the bytes

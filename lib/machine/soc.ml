@@ -77,12 +77,9 @@ let m3_miss_penalty = 20
 
 type t = {
   clock : Clock.t;
-  mutable sched_clock : Clock.t;
-      (** the queue device completions and DMA events arm on: the
-          platform clock, except inside a lockstep concurrent segment,
-          where it is the lane of the core driving the device — so a
-          device poked by the M3 completes in M3 time, deterministically,
-          whatever the other core is doing. Aliases [clock] otherwise. *)
+      (** the platform clock: devices, timers and the M3 arm every
+          event on it. Only the A9 ever leaves it, for a private lane
+          inside a lockstep concurrent segment ({!Clock.lane}). *)
   mem : Mem.t;
   fabric : Intc.fabric;
   cpu : Core.t;
@@ -135,7 +132,9 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   Mem.add_region mem (Intc.mmio_region fabric.gic ~base:gic_base);
   Mem.add_region mem (Timer.mmio_region cpu_timer ~base:cpu_timer_base);
   Mem.add_region mem (Timer.mmio_region m3_timer ~base:m3_timer_base);
-  (* the recorder substrate: one per platform, on the shared clock.
+  (* the recorder substrate: one per platform, on the A9's clock — the
+     platform clock, or the A9's lane inside a concurrent segment, where
+     the recorder is paused and reads time only at the barriers.
      Gauges over the core counters feed the sampler's columns (and, for
      busy cycles, instructions and misses, the flight recorder's phase
      probes); higher layers (DBT engine, device drivers) wire their own
@@ -150,7 +149,7 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
           Core.settle cpu;
           Core.settle m3
         end;
-        clock.Clock.now)
+        cpu.Core.clock.Clock.now)
       ()
   in
   let gauge = Tk_stats.Substrate.gauge recorder.Tk_stats.Recorder.sub in
@@ -195,7 +194,7 @@ let create ?(m3_cache_kb = m3_cache_kb) () =
   fabric.Intc.gic.Intc.rc_core <- Tk_stats.Trace.core_cpu;
   fabric.Intc.nvic.Intc.rc <- recorder;
   fabric.Intc.nvic.Intc.rc_core <- Tk_stats.Trace.core_m3;
-  { clock; sched_clock = clock; mem; fabric; cpu; m3; cpu_timer; m3_timer;
+  { clock; mem; fabric; cpu; m3; cpu_timer; m3_timer;
     recorder; trace = recorder.Tk_stats.Recorder.trace;
     sampler = recorder.Tk_stats.Recorder.sampler;
     spans = recorder.Tk_stats.Recorder.spans }

@@ -64,12 +64,9 @@ val m3_cache_kb : int
 
 type t = {
   clock : Clock.t;
-  mutable sched_clock : Clock.t;
-      (** the queue device completions and DMA events arm on: the
-          platform clock, except inside a lockstep concurrent segment,
-          where it is the lane of the core driving the device — so a
-          device poked by the M3 completes in M3 time, deterministically,
-          whatever the other core is doing. Aliases [clock] otherwise. *)
+      (** the platform clock: devices, timers and the M3 arm every
+          event on it. Only the A9 ever leaves it, for a private lane
+          inside a lockstep concurrent segment ({!Clock.lane}). *)
   mem : Mem.t;
   fabric : Intc.fabric;
   cpu : Core.t;

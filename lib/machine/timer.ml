@@ -13,9 +13,7 @@
     - 0x0C W: ONESHOT_NS — raise one IRQ after this delay *)
 
 type t = {
-  mutable clock : Clock.t;
-      (** the queue this timer arms events on — the platform clock, or a
-          per-core lane under the lockstep scheduler *)
+  clock : Clock.t;  (** the platform clock, which this timer arms events on *)
   fabric : Intc.fabric;
   irq_line : int;
   mutable period : int;
@@ -28,13 +26,6 @@ type t = {
 
 let create ~clock ~fabric ~irq_line =
   { clock; fabric; irq_line; period = 0; cancel_tick = None; next_at = 0 }
-
-(** [set_clock t clock] — retarget the timer's event queue. Only legal
-    while no tick is armed (the lockstep driver swaps lanes at phase
-    boundaries, where World-style quiescing has the tick stopped). *)
-let set_clock t clock =
-  assert (t.period = 0 && t.cancel_tick = None);
-  t.clock <- clock
 
 (** [now_ns t] is the free-running counter value. *)
 let now_ns t = t.clock.Clock.now

@@ -9,12 +9,12 @@
 
     Single-writer rule: one host domain at a time may call in. A
     lockstep concurrent segment {!pause}s the recorder while its lanes
-    run, because the time hook reads the platform clock, which is then
-    the A9's lane: an M3 event recorded there would carry the A9's
-    time. The M3 lane's phase marks are posted to the next barrier,
-    which applies them and takes the sampler's due row ({!barrier}).
-    Point events and run and translation bursts inside a segment are
-    not recorded. *)
+    run, because the time hook reads the A9's clock, which is then the
+    A9's private lane: an M3 event recorded there would carry the A9's
+    time. The recorder holds the M3's phase marks until the next
+    barrier, which applies them and takes the sampler's due row
+    ({!barrier}). Point events and run and translation bursts inside a
+    segment are not recorded. *)
 
 open Substrate
 
@@ -23,8 +23,10 @@ type t = {
   trace : Trace.t;
   sampler : Timeseries.t;
   spans : Span.t;
-  mutable lane : (int * ((unit -> unit) -> unit)) option;
-      (** while paused: the marking lane's core and its barrier post *)
+  mutable lane : int;  (** while paused: the marking lane's core, else -1 *)
+  mutable held : (int * int array) list;
+      (** the paused lane's phase marks, newest first: each code with
+          the lane's own gauges read at the mark *)
 }
 
 (** [create ~now ()] — a substrate on the simulated-time hook [now] and
@@ -32,7 +34,7 @@ type t = {
 let create ?(now = fun () -> 0) () =
   let sub = Substrate.create now in
   { sub; trace = Trace.create sub; sampler = Timeseries.create sub;
-    spans = Span.create sub; lane = None }
+    spans = Span.create sub; lane = -1; held = [] }
 
 (** Shared always-disabled instance, the default wiring target for
     components built before their platform hands them the real
@@ -60,29 +62,17 @@ let tick r =
   if r.sub.on land sampler_bit <> 0 && r.sub.now () >= ts.Timeseries.next_due
   then Timeseries.sample_now ts
 
-(* [f] at a barrier of a paused segment, where every lane is stopped at
-   the boundary *)
-let unpaused r f =
-  Substrate.pause r.sub false;
-  f ();
-  Substrate.pause r.sub true
-
 (** [phase r code] — a phase mark: the flight recorder's snapshot, the
     sampler's boundary row and the span tracer's phase frames. While
-    paused, the marking lane reads its own gauges now and posts the mark
-    to the next barrier, which reads every other gauge. *)
-let rec phase r code =
+    paused, the marking lane reads its own gauges now and the mark waits
+    for the next {!barrier}, which reads every other gauge. *)
+let phase r code =
   let on = r.sub.on in
   if on land trace_bit <> 0 then Trace.phase r.trace code;
   if on land sampler_bit <> 0 then Timeseries.phase r.sampler code;
   if on land spans_bit <> 0 then Span.phase r.spans code;
-  match r.lane with
-  | Some (core, post) when r.sub.paused && r.sub.live <> 0 ->
-    let vs = Substrate.hold r.sub ~core in
-    post (fun () ->
-        unpaused r (fun () ->
-            Substrate.with_held r.sub ~core vs (fun () -> phase r code)))
-  | _ -> ()
+  if r.lane >= 0 && r.sub.paused && r.sub.live <> 0 then
+    r.held <- (code, Substrate.hold r.sub ~core:r.lane) :: r.held
 
 (** [burst_open ?slot r ~core kind arg] opens a span burst of [kind]
     (see {!Span.open_burst}); with [slot], reopens that frame cut by a
@@ -104,15 +94,28 @@ let burst_close ?ev r ~core tok =
   if tok >= 0 && r.sub.on land spans_bit <> 0 then
     Span.leave r.spans tok
 
-(** [pause r lane] — [Some (core, post)] pauses the recorder for a
-    concurrent segment, whose lane for [core] posts its phase marks
-    through [post]; [None] resumes. *)
+(** [pause r lane] — [Some core] pauses the recorder for a concurrent
+    segment, holding the phase marks of [core]'s lane for the barriers;
+    [None] resumes, dropping any mark still held. *)
 let pause r lane =
-  r.lane <- lane;
+  r.lane <- Option.value lane ~default:(-1);
+  r.held <- [];
   Substrate.pause r.sub (lane <> None)
 
-(** [barrier r] — at a barrier of a paused segment: the sampler's due
-    row. *)
+(** [barrier r] — at a barrier of a paused segment, with every lane
+    stopped at the boundary: the held phase marks in the order they were
+    made, then the sampler's due row. Returns how many marks it
+    applied. *)
 let barrier r =
-  if r.sub.live land sampler_bit <> 0 then
-    unpaused r (fun () -> tick r)
+  let marks = List.rev r.held in
+  r.held <- [];
+  if marks <> [] || r.sub.live land sampler_bit <> 0 then begin
+    Substrate.pause r.sub false;
+    List.iter
+      (fun (code, vs) ->
+        Substrate.with_held r.sub ~core:r.lane vs (fun () -> phase r code))
+      marks;
+    tick r;
+    Substrate.pause r.sub true
+  end;
+  List.length marks

@@ -85,7 +85,6 @@ let ph_dev_mark = 100
 type t = {
   sub : Substrate.t;
   mutable enabled : bool;
-  mutable coalesce_gap_ns : int;
   mutable cap : int;
   mutable gauges : Substrate.gauge array;  (* baked at enable *)
   (* parallel span arrays, slot-indexed; a slot is allocated at open and
@@ -109,12 +108,13 @@ type t = {
 }
 
 let default_cap = 1 lsl 16
+let coalesce_gap_ns = 500  (* bursts this close merge: [enter_coalesced] *)
 let max_depth = 64
 let max_dev_cells = 64
 let max_lines = 128
 
 let create sub =
-  { sub; enabled = false; coalesce_gap_ns = 500; cap = default_cap;
+  { sub; enabled = false; cap = default_cap;
     gauges = [||]; q_kind = [||]; q_core = [||]; q_parent = [||];
     q_t0 = [||]; q_t1 = [||]; q_arg = [||]; q_a0 = [||]; q_a1 = [||]; n = 0;
     dropped = 0; stack = Array.make max_depth (-1); depth = 0;
@@ -241,7 +241,7 @@ let enter_coalesced t ~core kind arg =
   let s = t.n - 1 in
   if
     reopenable t ~core kind s
-    && t.sub.Substrate.now () - t.q_t1.(s) <= t.coalesce_gap_ns
+    && t.sub.Substrate.now () - t.q_t1.(s) <= coalesce_gap_ns
   then reopen_slot t s arg
   else enter t ~core kind arg
 

@@ -59,8 +59,6 @@ val is_async : int -> bool
 type t = {
   sub : Substrate.t;  (** the platform substrate: time and gauges *)
   mutable enabled : bool;
-  mutable coalesce_gap_ns : int;
-      (** bursts closer than this merge in {!enter_coalesced} *)
   mutable cap : int;
   mutable gauges : Substrate.gauge array;
       (** attribution gauges, baked at {!enable} *)
@@ -110,8 +108,8 @@ val enter : t -> core:int -> int -> int -> int
 val leave : t -> int -> unit
 
 (** Like {!enter}, but merges with an immediately preceding sibling of
-    the same kind/core closed less than [coalesce_gap_ns] ago
-    (accumulating [arg]): burst formation for DBT translate storms. *)
+    the same kind/core closed at most 500 ns ago (accumulating [arg]):
+    burst formation for DBT translate storms. *)
 val enter_coalesced : t -> core:int -> int -> int -> int
 
 (** [slot_of t tok] — the slot of the still-open frame behind token

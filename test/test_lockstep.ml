@@ -9,10 +9,10 @@
    working after a fallback migration.
 
    Plus unit coverage of the Lockstep driver itself on synthetic lanes:
-   barrier commits run in (time, lane, arrival) order, observed skew is
-   bounded by the quantum plus one indivisible tail, a true deadlock is
-   detected (and a clean simultaneous finish is not), and merge_lane
-   restores the single-clock regime preserving global event order. *)
+   observed skew is bounded by the quantum plus one indivisible tail, a
+   blocked lane is a deadlock (and a clean simultaneous finish is not),
+   and merge_lane advances the platform clock to the later lane time
+   and refuses a lane that holds an event. *)
 
 open Tk_machine
 module Translator = Tk_dbt.Translator
@@ -273,40 +273,6 @@ let scripted clock name ~step ~total ?(on_step = fun _ -> ()) () =
         done;
         if !spent >= total then `Done else `Runnable) }
 
-let test_commit_order () =
-  let main = Clock.create () in
-  let lane = Clock.lane main in
-  let log = ref [] in
-  let ls = ref None in
-  let post_from l tag =
-    Lockstep.post (Option.get !ls) ~lane:l (fun () -> log := tag :: !log)
-  in
-  let a =
-    scripted main "a" ~step:10 ~total:30
-      ~on_step:(fun spent -> if spent = 10 then post_from 0 "a@10")
-      ()
-  in
-  let b =
-    scripted lane "b" ~step:10 ~total:30
-      ~on_step:(fun spent ->
-        if spent = 10 then begin
-          (* same instant as a@10: lane order (0 before 1) breaks the
-             tie; two posts from one lane keep arrival order *)
-          post_from 1 "b@10.first";
-          post_from 1 "b@10.second"
-        end
-        else if spent = 20 then post_from 1 "b@20")
-      ()
-  in
-  let t = Lockstep.create ~quantum:100 [ a; b ] in
-  ls := Some t;
-  let st = Lockstep.run t in
-  Alcotest.(check (list string))
-    "commits ran in (time, lane, arrival) order"
-    [ "a@10"; "b@10.first"; "b@10.second"; "b@20" ]
-    (List.rev !log);
-  Alcotest.(check int) "all commits counted" 4 st.Lockstep.commits
-
 let test_skew_bounded () =
   let main = Clock.create () in
   let lane = Clock.lane main in
@@ -340,9 +306,9 @@ let test_deadlock_detected () =
   let t = Lockstep.create ~quantum:50 [ a; b ] in
   Alcotest.check_raises "blocked lane with no events deadlocks"
     (Lockstep.Deadlock
-       "lockstep deadlock: all lanes blocked with no events or commits \
-        pending (a: done at 20 ns (next event none); b: blocked at 50 ns \
-        (next event none))")
+       "lockstep deadlock: a lane is blocked with no events pending (a: \
+        done at 20 ns (next event none); b: blocked at 0 ns (next event \
+        none))")
     (fun () -> ignore (Lockstep.run t))
 
 let test_clean_finish_is_not_deadlock () =
@@ -355,36 +321,10 @@ let test_clean_finish_is_not_deadlock () =
   let st = Lockstep.run t in
   Alcotest.(check int) "one round" 1 st.Lockstep.rounds
 
-let test_blocked_lane_wakes_on_commit () =
-  let main = Clock.create () in
-  let lane = Clock.lane main in
-  let woken = ref false in
-  let ls = ref None in
-  let a =
-    scripted main "a" ~step:10 ~total:30
-      ~on_step:(fun spent ->
-        if spent = 10 then
-          Lockstep.post (Option.get !ls) ~lane:0 (fun () ->
-              (* the cross-lane wakeup: arm an event on the blocked
-                 lane; the driver re-polls it after the barrier *)
-              Clock.after_ lane 5 (fun () -> woken := true)))
-      ()
-  in
-  let b =
-    { Lockstep.l_name = "b"; l_clock = lane;
-      l_run = (fun ~deadline:_ -> if !woken then `Done else `Blocked) }
-  in
-  let t = Lockstep.create ~quantum:50 [ a; b ] in
-  ls := Some t;
-  ignore (Lockstep.run t);
-  Alcotest.(check bool) "commit woke the blocked lane" true !woken
-
 (* ARK as a lane: a phase with nothing runnable, no interrupt to deliver
-   and no M3 event must surface as a deadlock, sequential or sliced.
-   [Lockstep.run] drags a blocked lane to the boundary and re-polls it
-   there, so [phase_step] called at its deadline must still answer
-   [`Blocked] for a stalled phase, or the sliced run would spin
-   forever. *)
+   and no event must surface as a deadlock, sequential or sliced: the
+   first poll answers [`Blocked], and the barrier of that round
+   raises. *)
 let test_ark_lane_deadlock () =
   let ark = Ark_run.create ~quantum:1_000 () in
   let a = ark.Ark_run.ark in
@@ -413,29 +353,24 @@ let test_ark_lane_deadlock () =
   match Lockstep.run (Lockstep.create ~quantum:1_000 [ lane ]) with
   | _ -> Alcotest.fail "expected Lockstep.Deadlock"
   | exception Lockstep.Deadlock _ ->
-    Alcotest.(check int) "caught in the first round" 2 !polls
+    Alcotest.(check int) "caught at the first poll" 1 !polls
 
-let test_merge_lane_preserves_order () =
+let test_merge_lane () =
   let main = Clock.create () in
   let lane = Clock.lane main in
-  let log = ref [] in
-  (* interleaved arming across the two queues: the shared seq allocator
-     defines the global order the merged queue must replay *)
-  Clock.after_ main 100 (fun () -> log := "m100" :: !log);
-  Clock.after_ lane 50 (fun () -> log := "l50" :: !log);
-  Clock.after_ main 50 (fun () -> log := "m50" :: !log);
-  Clock.after_ lane 100 (fun () -> log := "l100" :: !log);
   lane.Clock.now <- 10;
   Lockstep.merge_lane ~into:main lane;
-  Alcotest.(check int) "merged clock at the latest lane time" 10
+  Alcotest.(check int) "merged clock at the later lane time" 10
     main.Clock.now;
-  Alcotest.(check bool) "lane emptied" true
-    (Clock.next_event_time lane = None);
-  Clock.advance main 200;
-  Alcotest.(check (list string))
-    "merged events fire in global (at, seq) order"
-    [ "l50"; "m50"; "m100"; "l100" ]
-    (List.rev !log)
+  main.Clock.now <- 30;
+  Lockstep.merge_lane ~into:main lane;
+  Alcotest.(check int) "an earlier lane time moves nothing" 30
+    main.Clock.now;
+  Clock.after_ lane 5 ignore;
+  Alcotest.check_raises "a lane event is refused"
+    (Invalid_argument "Lockstep.merge_lane: the lane holds an event")
+    (fun () -> Lockstep.merge_lane ~into:main lane);
+  Alcotest.(check int) "a refused merge moves nothing" 30 main.Clock.now
 
 (* ------------------------------- suite ------------------------------- *)
 
@@ -468,17 +403,13 @@ let () =
           Alcotest.test_case "concurrent cycle after a fallback" `Slow
             test_concurrent_after_fallback ] );
       ( "driver units",
-        [ Alcotest.test_case "commit order (time, lane, arrival)" `Quick
-            test_commit_order;
-          Alcotest.test_case "skew bounded by quantum + tail" `Quick
+        [ Alcotest.test_case "skew bounded by quantum + tail" `Quick
             test_skew_bounded;
           Alcotest.test_case "deadlock detected" `Quick
             test_deadlock_detected;
           Alcotest.test_case "clean finish is not a deadlock" `Quick
             test_clean_finish_is_not_deadlock;
-          Alcotest.test_case "commit wakes a blocked lane" `Quick
-            test_blocked_lane_wakes_on_commit;
           Alcotest.test_case "a stalled ARK lane deadlocks" `Quick
             test_ark_lane_deadlock;
-          Alcotest.test_case "merge_lane preserves global order" `Quick
-            test_merge_lane_preserves_order ] ) ]
+          Alcotest.test_case "merge_lane refuses a lane event" `Quick
+            test_merge_lane ] ) ]

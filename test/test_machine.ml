@@ -130,6 +130,42 @@ let test_mem_bounds () =
   | _ -> Alcotest.fail "expected bus fault"
   | exception Mem.Bus_fault _ -> ())
 
+(* MMIO dispatch: a device access allocates nothing, and where two
+   regions overlap, the one registered last takes the access *)
+let test_mmio_dispatch () =
+  let soc = Soc.create () in
+  let mem = soc.Soc.mem in
+  let count = Soc.cpu_timer_base and idle_reg = Soc.cpu_timer_base + 0x10 in
+  ignore (Mem.read mem count 4);
+  Mem.write mem idle_reg 4 0;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Mem.read mem count 4))
+  done;
+  checki "MMIO read words" 0 (int_of_float (Gc.minor_words () -. w0));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Mem.write mem idle_reg 4 0
+  done;
+  checki "no-op MMIO write words" 0 (int_of_float (Gc.minor_words () -. w0));
+  let log = ref [] in
+  let region name rbase rsize : Mem.region =
+    { rbase; rsize; rname = name;
+      rread = (fun off _ -> log := (name, off) :: !log; 0);
+      rwrite = (fun off _ _ -> log := (name, off) :: !log) }
+  in
+  let base = 0x60000000 in
+  Mem.add_region mem (region "first" base 0x100);
+  Mem.add_region mem (region "later" (base + 0x80) 0x100);
+  ignore (Mem.read mem (base + 0x10) 4);
+  ignore (Mem.read mem (base + 0x90) 4);
+  Mem.write mem (base + 0xF0) 4 1;
+  Mem.write mem (base + 0x170) 4 1;
+  Alcotest.(check (list (pair string int)))
+    "overlap: the later region wins"
+    [ ("first", 0x10); ("later", 0x10); ("later", 0x70); ("later", 0xF0) ]
+    (List.rev !log)
+
 (* Paged DRAM: a small memory of four pages, checked against a byte-wise
    reference model. *)
 let small_mem () =
@@ -731,6 +767,8 @@ let () =
       ( "memory",
         [ Alcotest.test_case "ram and faults" `Quick test_mem_bounds;
           Alcotest.test_case "dma traffic" `Quick test_dma_counters;
+          Alcotest.test_case "MMIO dispatch: no allocation, last wins"
+            `Quick test_mmio_dispatch;
           Alcotest.test_case "page-straddling accesses" `Quick
             test_mem_straddle;
           Alcotest.test_case "never-written page reads zero" `Quick
